@@ -1,6 +1,8 @@
 #include "net/listener.h"
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,17 +16,30 @@ namespace {
 
 constexpr std::size_t kReadChunk = 4096;
 
+// W = max(2, cores - 1): one core stays with the poll thread, and a
+// second class always has a worker. Cores are the ones this process
+// may run on, as nproc(1) counts them.
+int WaveWorkers() {
+  cpu_set_t set;
+  int cores = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set)
+                                                           : 0;
+  if (cores <= 0) cores = runtime::ResolveThreadCount(0);
+  return std::max(2, cores - 1);
+}
+
 }  // namespace
 
 Listener::Listener(const runtime::QueryService* service,
                    ListenerOptions options)
     : service_(service),
       options_(std::move(options)),
-      dispatcher_(options_.tenant_queue_bound) {}
+      dispatcher_(options_.tenant_queue_bound),
+      pool_(std::make_unique<runtime::ThreadPool>(WaveWorkers())) {}
 
 Listener::~Listener() {
   Shutdown();
   if (thread_.joinable()) Join();
+  pool_.reset();  // Idle once Run() returns; joined before the pipe closes.
   for (auto& [id, conn] : conns_) {
     if (conn.fd >= 0) close(conn.fd);
   }
@@ -52,31 +67,43 @@ bool Listener::Open(std::string* error) {
     *error = "fcntl(listen): " + std::string(std::strerror(errno));
     return false;
   }
-  if (pipe(wake_fds_) != 0) {
-    *error = "pipe: " + std::string(std::strerror(errno));
+  // Both ends nonblocking: the poll thread drains [0] without waiting,
+  // and a writer finding the pipe full drops its byte -- a wake is
+  // already pending -- instead of blocking.
+  if (pipe2(wake_fds_, O_NONBLOCK) != 0) {
+    *error = "pipe2: " + std::string(std::strerror(errno));
     return false;
   }
-  SetNonBlocking(wake_fds_[0]);
   paused_.store(options_.start_paused);
   return true;
 }
 
+void Listener::Wake() {
+  if (wake_fds_[1] < 0) return;
+  const char byte = 'w';
+  [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
+}
+
+bool Listener::DrainWakePipe() {
+  bool quit = false;
+  char buf[64];
+  ssize_t n;
+  while ((n = read(wake_fds_[0], buf, sizeof(buf))) > 0) {
+    for (ssize_t i = 0; i < n; ++i) quit = quit || buf[i] == 'q';
+  }
+  return quit;
+}
+
 void Listener::Shutdown() {
   draining_.store(true);
-  if (wake_fds_[1] >= 0) {
-    const char byte = 'w';
-    [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
-  }
+  Wake();
 }
 
 void Listener::Pause() { paused_.store(true); }
 
 void Listener::Resume() {
   paused_.store(false);
-  if (wake_fds_[1] >= 0) {
-    const char byte = 'w';
-    [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
-  }
+  Wake();
 }
 
 void Listener::Start() {
@@ -102,14 +129,15 @@ void Listener::AcceptNew() {
     }
     if (static_cast<int>(conns_.size()) >= options_.max_conns) {
       // Refuse loudly: one typed error frame, then close. The fd is
-      // still blocking here, and the frame is tiny, so a plain write
+      // still blocking here, and the frame is tiny, so a plain send
       // delivers it without joining the event loop.
       ErrorMsg err;
       err.code = ErrorCode::kTooManyConnections;
       err.message = "connection limit " +
                     std::to_string(options_.max_conns) + " reached";
       const std::vector<std::uint8_t> frame = EncodeError(err);
-      [[maybe_unused]] ssize_t n = write(fd, frame.data(), frame.size());
+      [[maybe_unused]] ssize_t n =
+          send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       close(fd);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.connections_refused;
@@ -146,12 +174,8 @@ void Listener::SendResponse(Connection* conn, const ResponseMsg& msg) {
   ++stats_.responses_sent;
 }
 
-void Listener::Reject(const runtime::PendingRequest& p, runtime::Status status,
-                      std::uint64_t TenantStats::*counter) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++(stats_.tenants[p.tenant].*counter);
-  }
+void Listener::Reject(const runtime::PendingRequest& p,
+                      runtime::Status status) {
   auto it = conns_.find(p.owner);
   if (it == conns_.end()) return;
   ResponseMsg out;
@@ -219,10 +243,6 @@ bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
         SendError(conn, ErrorCode::kBadMessage, "undecodable REQUEST payload");
         return true;
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.tenants[conn->tenant].arrivals;
-      }
       runtime::PendingRequest pending;
       pending.id = req.id;
       pending.owner = conn->id;
@@ -232,18 +252,21 @@ bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
       // Validation and queue-bound rejections answer immediately with
       // serve_seq 0 -- they never reach a wave, so they overtake queued
       // work on the wire (id-matched, not order-matched).
-      const runtime::Status v = service_->Validate(req.request);
-      if (v != runtime::Status::kOk) {
-        Reject(pending, v, &TenantStats::rejected_invalid);
-        return true;
+      runtime::Status status = service_->Validate(req.request);
+      if (status == runtime::Status::kOk &&
+          !dispatcher_.Enqueue(conn->tenant, pending)) {
+        status = runtime::Status::kOverloaded;
       }
-      if (!dispatcher_.Enqueue(conn->tenant, pending)) {
-        Reject(pending, runtime::Status::kOverloaded,
-               &TenantStats::rejected_overload);
-        return true;
+      {
+        // The arrival and its outcome land in one snapshot.
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        TenantStats& t = stats_.tenants[conn->tenant];
+        ++t.arrivals;
+        if (status == runtime::Status::kInvalidSource) ++t.rejected_invalid;
+        if (status == runtime::Status::kOverloaded) ++t.rejected_overload;
+        t.queue_depth = dispatcher_.tenant_depth(conn->tenant);
       }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      SyncQueueDepthsLocked();
+      if (status != runtime::Status::kOk) Reject(pending, status);
       return true;
     }
     case FrameType::kGoodbye:
@@ -311,57 +334,154 @@ bool Listener::HandleReadable(Connection* conn) {
 
 bool Listener::HandleWritable(Connection* conn) {
   while (conn->woff < conn->wbuf.size()) {
-    const ssize_t n = write(conn->fd, conn->wbuf.data() + conn->woff,
-                            conn->wbuf.size() - conn->woff);
+    // MSG_NOSIGNAL: a peer that went away is EPIPE here, not a
+    // process-killing SIGPIPE.
+    const ssize_t n = send(conn->fd, conn->wbuf.data() + conn->woff,
+                           conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
     if (n > 0) {
       conn->woff += static_cast<std::size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // A pipelined peer may never let wbuf drain fully: once the
+      // written prefix is the larger half, drop it, so the buffer holds
+      // at most twice its unsent bytes.
+      if (conn->woff > conn->wbuf.size() / 2) {
+        conn->wbuf.erase(conn->wbuf.begin(),
+                         conn->wbuf.begin() +
+                             static_cast<std::ptrdiff_t>(conn->woff));
+        conn->woff = 0;
+      }
+      return true;
+    }
     return false;  // Hard write error (EPIPE et al): drop.
   }
   conn->wbuf.clear();
   conn->woff = 0;
-  return !conn->closing;
+  return true;
 }
 
-void Listener::DispatchBatch() {
-  std::vector<runtime::PendingRequest> shed;
-  const std::vector<runtime::PendingRequest> wave = dispatcher_.NextWave(
-      NowNs(), static_cast<std::size_t>(service_->max_lanes()), &shed);
-  for (const runtime::PendingRequest& p : shed) {
-    Reject(p, runtime::Status::kDeadlineExceeded,
-           &TenantStats::dropped_deadline);
-  }
-  if (!wave.empty()) {
-    std::vector<runtime::Request> requests;
-    requests.reserve(wave.size());
-    for (const runtime::PendingRequest& p : wave) requests.push_back(p.request);
-    const std::vector<runtime::Response> responses =
-        service_->SubmitBatch(requests);
-    const std::uint64_t now = NowNs();
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      const runtime::PendingRequest& p = wave[i];
-      ResponseMsg out;
-      out.id = p.id;
-      out.serve_seq = ++serve_seq_;
-      out.latency_ns = now > p.arrival_ns ? now - p.arrival_ns : 0;
-      out.response = responses[i];
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        TenantStats& t = stats_.tenants[p.tenant];
-        ++t.served;
-        t.latencies_ns.push_back(out.latency_ns);
+void Listener::DispatchWaves() {
+  const std::size_t workers = static_cast<std::size_t>(pool_->thread_count());
+  while (running_.size() < workers && dispatcher_.TotalPending() > 0) {
+    // A class with W - 1 waves in flight is full, so another class
+    // always finds a free worker.
+    std::vector<runtime::WaveClass> full;
+    for (const runtime::WaveClass& cls : running_) {
+      if (std::find(full.begin(), full.end(), cls) == full.end() &&
+          static_cast<std::size_t>(
+              std::count(running_.begin(), running_.end(), cls)) >=
+              workers - 1) {
+        full.push_back(cls);
       }
-      // The origin connection may have gone away while the request was
-      // queued; monotonic ids make that a clean drop, never a delivery
-      // to whoever reused the fd.
+    }
+    std::vector<runtime::PendingRequest> shed;
+    std::vector<runtime::PendingRequest> wave = dispatcher_.NextWave(
+        NowNs(), static_cast<std::size_t>(service_->max_lanes()), &shed,
+        full);
+    std::vector<std::uint64_t> seqs;
+    seqs.reserve(wave.size());
+    for (std::size_t i = 0; i < wave.size(); ++i) seqs.push_back(++serve_seq_);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      for (const runtime::PendingRequest& p : shed) {
+        ++stats_.tenants[p.tenant].dropped_deadline;
+      }
+      for (const runtime::PendingRequest& p : wave) {
+        ++stats_.tenants[p.tenant].in_flight;
+      }
+      SyncQueueDepthsLocked();
+    }
+    for (const runtime::PendingRequest& p : shed) {
+      Reject(p, runtime::Status::kDeadlineExceeded);
+    }
+    if (wave.empty()) return;
+    for (const runtime::PendingRequest& p : wave) {
       auto it = conns_.find(p.owner);
-      if (it != conns_.end()) SendResponse(&it->second, out);
+      if (it != conns_.end()) ++it->second.in_flight;
+    }
+    const runtime::WaveClass cls{wave.front().request.graph,
+                                 wave.front().request.kind};
+    running_.push_back(cls);
+    pool_->Submit([this, cls, wave = std::move(wave),
+                   seqs = std::move(seqs)] { RunWave(cls, wave, seqs); });
+  }
+}
+
+void Listener::RunWave(runtime::WaveClass cls,
+                       const std::vector<runtime::PendingRequest>& wave,
+                       const std::vector<std::uint64_t>& seqs) {
+  std::vector<runtime::Request> requests;
+  requests.reserve(wave.size());
+  for (const runtime::PendingRequest& p : wave) requests.push_back(p.request);
+  std::vector<runtime::Response> responses = service_->SubmitBatch(requests);
+  const std::uint64_t now = NowNs();
+  FinishedWave done;
+  done.cls = cls;
+  done.answers.reserve(wave.size());
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const runtime::PendingRequest& p = wave[i];
+    ResponseMsg out;
+    out.id = p.id;
+    out.serve_seq = seqs[i];
+    out.latency_ns = now > p.arrival_ns ? now - p.arrival_ns : 0;
+    out.response = std::move(responses[i]);
+    done.answers.push_back(
+        Answer{p.owner, p.tenant, out.latency_ns, EncodeResponse(out)});
+  }
+  {
+    std::lock_guard<std::mutex> lock(completed_mu_);
+    completed_.push_back(std::move(done));
+  }
+  Wake();
+}
+
+void Listener::CollectCompletions() {
+  std::vector<FinishedWave> done;
+  {
+    std::lock_guard<std::mutex> lock(completed_mu_);
+    done.swap(completed_);
+  }
+  if (done.empty()) return;
+  std::uint64_t delivered = 0;
+  for (FinishedWave& wave : done) {
+    running_.erase(std::find(running_.begin(), running_.end(), wave.cls));
+    for (Answer& answer : wave.answers) {
+      // The origin connection may have gone away while the request was
+      // in flight; monotonic ids make that a clean drop, never a
+      // delivery to whoever reused the fd.
+      auto it = conns_.find(answer.owner);
+      if (it == conns_.end()) continue;
+      Connection& conn = it->second;
+      --conn.in_flight;
+      if (conn.wbuf.empty()) {
+        conn.wbuf = std::move(answer.frame);
+      } else {
+        conn.wbuf.insert(conn.wbuf.end(), answer.frame.begin(),
+                         answer.frame.end());
+      }
+      ++delivered;
     }
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
-  SyncQueueDepthsLocked();
+  stats_.responses_sent += delivered;
+  for (const FinishedWave& wave : done) {
+    for (const Answer& answer : wave.answers) {
+      TenantStats& t = stats_.tenants[answer.tenant];
+      --t.in_flight;
+      ++t.served;
+      t.latencies_ns.push_back(answer.latency_ns);
+    }
+  }
+}
+
+void Listener::WaitForWaves() {
+  while (!running_.empty()) {
+    pollfd wake = {wake_fds_[0], POLLIN, 0};
+    poll(&wake, 1, options_.poll_timeout_ms);
+    DrainWakePipe();
+    CollectCompletions();
+  }
 }
 
 void Listener::CloseConnection(std::uint64_t id) {
@@ -379,7 +499,8 @@ void Listener::CloseConnection(std::uint64_t id) {
 }
 
 bool Listener::DrainComplete() const {
-  return dispatcher_.TotalPending() == 0 && conns_.empty();
+  return dispatcher_.TotalPending() == 0 && running_.empty() &&
+         conns_.empty();
 }
 
 int Listener::Run() {
@@ -416,24 +537,16 @@ int Listener::Run() {
       fd_conn_ids.push_back(id);
     }
 
-    const bool dispatch_ready =
-        (!paused_.load() || draining) && dispatcher_.TotalPending() > 0;
-    int timeout = dispatch_ready ? 0 : options_.poll_timeout_ms;
+    // No zero timeout while work is pending: whatever could let it
+    // dispatch -- a finished wave, Resume, Shutdown -- writes the pipe.
+    int timeout = options_.poll_timeout_ms;
     if (draining) timeout = std::min(timeout, 20);
 
     const int ready = poll(fds.data(), fds.size(), timeout);
     if (ready < 0 && errno != EINTR) break;
 
-    // Wake pipe: drain it; 'q' bytes request shutdown (signal path).
-    if (fds[0].revents & POLLIN) {
-      char buf[64];
-      ssize_t n;
-      while ((n = read(wake_fds_[0], buf, sizeof(buf))) > 0) {
-        for (ssize_t i = 0; i < n; ++i) {
-          if (buf[i] == 'q') draining_.store(true);
-        }
-      }
-    }
+    if ((fds[0].revents & POLLIN) && DrainWakePipe()) draining_.store(true);
+    CollectCompletions();
 
     std::size_t idx = 1;
     if (!draining) {
@@ -464,18 +577,19 @@ int Listener::Run() {
           continue;
         }
       }
-      if (conn.wbuf.empty() && conn.closing) to_close.push_back(id);
+      // A closing connection still waits for its in-flight answers.
+      if (conn.wbuf.empty() && conn.closing && conn.in_flight == 0) {
+        to_close.push_back(id);
+      }
     }
     for (std::uint64_t id : to_close) CloseConnection(id);
 
-    if ((!paused_.load() || draining) && dispatcher_.TotalPending() > 0) {
-      DispatchBatch();
-    }
+    if (!paused_.load() || draining) DispatchWaves();
 
     if (draining) {
       // Once every admitted request is answered, connections with
       // nothing left to write are done.
-      if (dispatcher_.TotalPending() == 0) {
+      if (dispatcher_.TotalPending() == 0 && running_.empty()) {
         std::vector<std::uint64_t> done;
         for (auto& [id, conn] : conns_) {
           if (conn.wbuf.empty()) done.push_back(id);
@@ -487,7 +601,7 @@ int Listener::Run() {
           static_cast<std::uint64_t>(options_.drain_timeout_ms) * 1000000ull;
       if (now - drain_started_ns_ > budget && !DrainComplete()) {
         for (auto& [id, conn] : conns_) {
-          if (!conn.wbuf.empty()) force_closed_ = true;
+          if (!conn.wbuf.empty() || conn.in_flight > 0) force_closed_ = true;
         }
         std::vector<std::uint64_t> all;
         for (auto& [id, conn] : conns_) all.push_back(id);
@@ -496,6 +610,7 @@ int Listener::Run() {
       }
     }
   }
+  WaitForWaves();
   return force_closed_ ? 1 : 0;
 }
 

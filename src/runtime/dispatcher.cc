@@ -31,7 +31,7 @@ bool Dispatcher::Enqueue(int t, PendingRequest request) {
 
 std::vector<PendingRequest> Dispatcher::NextWave(
     std::uint64_t now_ns, std::size_t max_lanes,
-    std::vector<PendingRequest>* shed) {
+    std::vector<PendingRequest>* shed, const std::vector<WaveClass>& full) {
   for (Tenant& tenant : tenants_) {
     for (auto it = tenant.queue.begin(); it != tenant.queue.end();) {
       const std::uint64_t deadline = it->request.deadline_ns;
@@ -46,11 +46,19 @@ std::vector<PendingRequest> Dispatcher::NextWave(
 
   std::vector<PendingRequest> wave;
   const std::size_t n = tenants_.size();
-  // The leader: the front of the first backlogged tenant from the cursor.
+  // The leader: the first request of a non-full class, scanning tenants
+  // from the cursor. With no full classes, the front of the first
+  // backlogged tenant.
+  const auto leads = [&full](const PendingRequest& p) {
+    const WaveClass cls{p.request.graph, p.request.kind};
+    return std::find(full.begin(), full.end(), cls) == full.end();
+  };
   const Request* leader = nullptr;
   for (std::size_t i = 0; i < n && leader == nullptr; ++i) {
     const Tenant& tenant = tenants_[(cursor_ + i) % n];
-    if (!tenant.queue.empty()) leader = &tenant.queue.front().request;
+    const auto it =
+        std::find_if(tenant.queue.begin(), tenant.queue.end(), leads);
+    if (it != tenant.queue.end()) leader = &it->request;
   }
   if (leader == nullptr) return wave;
   const int graph = leader->graph;

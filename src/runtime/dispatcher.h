@@ -30,6 +30,14 @@
 //     and spend no credit. Filling stops at `max_lanes`, or after a full
 //     DRR lap that finds no match.
 //
+//   * Full classes. A caller running several waves at once may name
+//     classes that are at their concurrency cap. Their requests are
+//     passed over exactly like other-class requests during packing:
+//     they keep their positions, spend no credit and never lead, so the
+//     leader is the first request of a non-full class in DRR order.
+//     With every backlogged class full, the wave is empty. Deadline
+//     shedding still applies to them.
+//
 // Cursor and credits persist across NextWave calls, so weights hold
 // across wave boundaries: saturated tenants of weight 4 and 1 are served
 // exactly 4:1, and the weight-1 tenant is never starved. With one tenant
@@ -64,6 +72,16 @@ struct PendingRequest {
   Request request;
 };
 
+// A wave's class: every request of one wave shares it.
+struct WaveClass {
+  int graph = 0;
+  QueryKind kind = QueryKind::kBfs;
+
+  bool operator==(const WaveClass& other) const {
+    return graph == other.graph && kind == other.kind;
+  }
+};
+
 class Dispatcher {
  public:
   explicit Dispatcher(std::size_t tenant_queue_bound)
@@ -84,11 +102,12 @@ class Dispatcher {
   bool Enqueue(int t, PendingRequest request);
 
   // Sheds expired requests into *shed, then returns the next wave: at
-  // most `max_lanes` requests of one (graph, kind) class, in DRR order.
-  // The wave's order is its service order.
+  // most `max_lanes` requests of one (graph, kind) class not in `full`,
+  // in DRR order. The wave's order is its service order.
   std::vector<PendingRequest> NextWave(std::uint64_t now_ns,
                                        std::size_t max_lanes,
-                                       std::vector<PendingRequest>* shed);
+                                       std::vector<PendingRequest>* shed,
+                                       const std::vector<WaveClass>& full = {});
 
   // Removes every queued request of `owner` (a connection that went
   // away) and returns them so the caller can account for them.

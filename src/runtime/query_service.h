@@ -134,6 +134,11 @@ class QueryService {
   // shard, and packed into <= max_lanes same-kind waves in arrival
   // order. Responses are in input order; `stats` (optional) receives
   // every wave's engine cost with globally numbered wave indices.
+  //
+  // Safe to call from several threads at once once every AddGraph has
+  // returned: it is const, the shard table and CSRs are only read, and
+  // each call builds its own batcher and accountants. net::Listener's
+  // workers call it concurrently, one wave each.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests,
                                     BatchRunStats* stats = nullptr) const;
 

@@ -23,7 +23,10 @@
 //      across an empty queue, enforces the per-tenant bound, drops a
 //      dead connection's requests without touching other tenants, packs
 //      one (graph, kind) class per wave while other classes keep their
-//      positions and credit, and sheds expired deadlines first.
+//      positions and credit, and sheds expired deadlines first. A class
+//      the caller names full never leads a wave, its requests keep
+//      their positions and credit and are still shed at their
+//      deadlines, and an empty full list leaves the order unchanged.
 
 #include <cstdint>
 #include <cstring>
@@ -566,6 +569,93 @@ void TestDeadlinesShedFirstInTenantThenQueueOrder() {
   CHECK(Ids(wave) == std::vector<std::uint64_t>({11, 21}));
 }
 
+// --- full classes (a caller's concurrency cap) ------------------------------
+
+const runtime::WaveClass kBfs0{0, runtime::QueryKind::kBfs};
+
+void TestFullClassNeverLeads() {
+  using runtime::QueryKind;
+  runtime::Dispatcher dispatcher(64);
+  const int t = dispatcher.AddTenant("t", 1);
+  CHECK(dispatcher.Enqueue(t, Pending(t, 0, 1)));
+  CHECK(dispatcher.Enqueue(t, Pending(t, 1, 1, QueryKind::kSssp)));
+  CHECK(dispatcher.Enqueue(t, Pending(t, 2, 1)));
+  std::vector<runtime::PendingRequest> shed;
+  // BFS on graph 0 is full: the SSSP behind it leads, alone.
+  CHECK(Ids(dispatcher.NextWave(0, 8, &shed, {kBfs0})) ==
+        std::vector<std::uint64_t>({1}));
+  // Every backlogged class full: no wave, nothing lost.
+  CHECK(dispatcher.NextWave(0, 8, &shed, {kBfs0}).empty());
+  CHECK(dispatcher.TotalPending() == 2);
+  CHECK(Ids(Wave(&dispatcher, 8)) == std::vector<std::uint64_t>({0, 2}));
+  CHECK(shed.empty());
+}
+
+void TestFullClassKeepsPositionsAndCredit() {
+  using runtime::QueryKind;
+  runtime::Dispatcher dispatcher(64);
+  const int heavy = dispatcher.AddTenant("heavy", 2);
+  const int light = dispatcher.AddTenant("light", 1);
+  // Heavy: BFS, SSSP, BFS, BFS. Light: two BFS.
+  CHECK(dispatcher.Enqueue(heavy, Pending(heavy, 0, 1)));
+  CHECK(dispatcher.Enqueue(heavy, Pending(heavy, 1, 1, QueryKind::kSssp)));
+  CHECK(dispatcher.Enqueue(heavy, Pending(heavy, 2, 1)));
+  CHECK(dispatcher.Enqueue(heavy, Pending(heavy, 3, 1)));
+  CHECK(dispatcher.Enqueue(light, Pending(light, 10, 2)));
+  CHECK(dispatcher.Enqueue(light, Pending(light, 11, 2)));
+  std::vector<runtime::PendingRequest> shed;
+  // With BFS full, heavy's SSSP leads and spends one of its two credits.
+  CHECK(Ids(dispatcher.NextWave(0, 8, &shed, {kBfs0})) ==
+        std::vector<std::uint64_t>({1}));
+  // The skipped BFS requests kept their places and cost nothing: heavy's
+  // one remaining credit buys BFS 0, then light's turn, then a fresh
+  // round. Had the skip forfeited heavy's credit, a new grant of two
+  // would give 0, 2, 10, 3, 11.
+  CHECK(Ids(Wave(&dispatcher, 8)) ==
+        std::vector<std::uint64_t>({0, 10, 2, 3, 11}));
+  CHECK(shed.empty());
+}
+
+void TestFullClassStillShedsDeadlines() {
+  using runtime::QueryKind;
+  runtime::Dispatcher dispatcher(64);
+  const int t = dispatcher.AddTenant("t", 1);
+  runtime::PendingRequest expiring = Pending(t, 0, 1);
+  expiring.arrival_ns = 100;
+  expiring.request.deadline_ns = 10;
+  CHECK(dispatcher.Enqueue(t, expiring));
+  CHECK(dispatcher.Enqueue(t, Pending(t, 1, 1)));
+  CHECK(dispatcher.Enqueue(t, Pending(t, 2, 1, QueryKind::kSssp)));
+  std::vector<runtime::PendingRequest> shed;
+  const std::vector<runtime::PendingRequest> wave =
+      dispatcher.NextWave(200, 8, &shed, {kBfs0});
+  CHECK(Ids(shed) == std::vector<std::uint64_t>({0}));
+  CHECK(Ids(wave) == std::vector<std::uint64_t>({2}));
+  CHECK(dispatcher.TotalPending() == 1);
+}
+
+void TestEmptyFullListKeepsWeightedOrder() {
+  // An empty full list, or one naming only classes nobody queued, is
+  // the plain policy: the 4:1 order of TestDrrExactWeightedOrder.
+  const runtime::WaveClass idle{1, runtime::QueryKind::kSssp};
+  for (const std::vector<runtime::WaveClass>& full :
+       {std::vector<runtime::WaveClass>{},
+        std::vector<runtime::WaveClass>{idle}}) {
+    runtime::Dispatcher dispatcher(64);
+    const int heavy = dispatcher.AddTenant("heavy", 4);
+    const int light = dispatcher.AddTenant("light", 1);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      CHECK(dispatcher.Enqueue(heavy, Pending(heavy, 100 + i, 1)));
+      CHECK(dispatcher.Enqueue(light, Pending(light, 200 + i, 2)));
+    }
+    std::vector<runtime::PendingRequest> shed;
+    const std::vector<runtime::PendingRequest> wave =
+        dispatcher.NextWave(0, 10, &shed, full);
+    CHECK(Ids(wave) == std::vector<std::uint64_t>({100, 101, 102, 103, 200,
+                                                   104, 105, 106, 107, 201}));
+  }
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -589,6 +679,10 @@ int main() {
   emogi::TestDrrDropOwner();
   emogi::TestMixedClassWavesKeepPositionsAndCredit();
   emogi::TestDeadlinesShedFirstInTenantThenQueueOrder();
+  emogi::TestFullClassNeverLeads();
+  emogi::TestFullClassKeepsPositionsAndCredit();
+  emogi::TestFullClassStillShedsDeadlines();
+  emogi::TestEmptyFullListKeepsWeightedOrder();
   std::printf("test_net_protocol: all checks passed\n");
   return 0;
 }

@@ -5,8 +5,10 @@
 //      threads, own tenants) each replay a seeded workload over the
 //      wire, and every answer -- status, payload vectors, edge counts,
 //      shard routing -- is identical to a dedicated sequential
-//      QueryService::Submit of the same request. The TSan CI job runs
-//      this file, so the listener's stats/dispatch locking is proven
+//      QueryService::Submit of the same request. The requests span two
+//      shards and two kinds, so waves of different classes run on the
+//      listener's workers at once. The TSan CI job runs this file, so
+//      the listener's stats, dispatch and completion locking is proven
 //      race-free, not assumed.
 //  (b) Overload and deadlines are typed and exact: with dispatch paused
 //      and a per-tenant bound of B, a pipelined flood of N > B requests
@@ -28,9 +30,14 @@
 //      connector that polls for the path and connects at once is never
 //      refused, and ParseAddress leaves room for the temporary bind
 //      path's suffix.
+//  (g) No head-of-line blocking: while a bulk tenant's SSSP waves run
+//      on one shard, an interactive BFS on another shard is read,
+//      served and answered. A peer that half-closes while its request
+//      is in flight still gets the answer.
 //
 // After every drain the per-tenant accounting balances: each arrival is
-// served, rejected, shed at its deadline, or dropped with its peer.
+// served, rejected, shed at its deadline, or dropped with its peer, and
+// nothing is left queued or in flight.
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -96,12 +103,15 @@ bool SameAnswer(const runtime::Response& wire,
          wire.edges_scanned == local.edges_scanned;
 }
 
-// Every arrival has exactly one outcome, and nothing is left queued.
+// Every arrival has exactly one outcome, and nothing is left queued or
+// in flight.
 void CheckBalanced(const net::ListenerStats& stats) {
   for (const net::TenantStats& t : stats.tenants) {
     CHECK(t.arrivals == t.served + t.rejected_overload + t.rejected_invalid +
-                            t.dropped_deadline + t.dropped_disconnect);
+                            t.dropped_deadline + t.dropped_disconnect +
+                            t.queue_depth + t.in_flight);
     CHECK(t.queue_depth == 0);
+    CHECK(t.in_flight == 0);
   }
 }
 
@@ -601,6 +611,102 @@ void TestSocketPathMeansReady() {
   CHECK(refused == 0);
 }
 
+// --- (g) no head-of-line blocking ------------------------------------------
+
+void TestInteractiveOvertakesBulkWaves() {
+  const graph::Csr& csr = TestCsr();
+  const core::EmogiConfig config = TestConfig();
+  runtime::QueryService service;
+  service.AddGraph(csr, config, "GK/bulk");
+  service.AddGraph(csr, config, "GK/interactive");
+
+  ScratchSocket scratch;
+  net::ListenerOptions options;
+  options.address = scratch.path;
+  options.tenant_queue_bound = 256;
+  options.start_paused = true;  // Queue the whole bulk backlog first.
+  net::Listener listener(&service, options);
+  std::string error;
+  CHECK(listener.Open(&error));
+  listener.Start();
+
+  // Full-width SSSP waves on shard 0, each far longer than one BFS.
+  constexpr int kBulk = 128;
+  const std::vector<graph::VertexId> sources = graph::PickSources(csr, kBulk);
+  net::Client bulk;
+  CHECK(bulk.Connect(scratch.path, "bulk", 1, &error));
+  for (int i = 0; i < kBulk; ++i) {
+    runtime::Request request;
+    request.kind = runtime::QueryKind::kSssp;
+    request.source = sources[i % sources.size()];
+    CHECK(bulk.Send(static_cast<std::uint64_t>(i + 1), request, &error));
+  }
+  // One more SSSP from a raw peer; it rides in the first bulk wave.
+  const int half = RawConnect(scratch.path);
+  RawHello(half, "half");
+  {
+    net::RequestMsg msg;
+    msg.id = 7;
+    msg.request.kind = runtime::QueryKind::kSssp;
+    msg.request.source = sources.front();
+    const std::vector<std::uint8_t> bytes = net::EncodeRequest(msg);
+    RawWrite(half, bytes.data(), bytes.size());
+  }
+  for (int spin = 0;
+       spin < 20000 && TotalArrivals(listener.Stats()) != kBulk + 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  net::Client interactive;
+  CHECK(interactive.Connect(scratch.path, "interactive", 1, &error));
+  listener.Resume();
+  for (int spin = 0;
+       spin < 20000 && TenantNamed(listener.Stats(), "bulk").in_flight == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  CHECK(TenantNamed(listener.Stats(), "bulk").in_flight > 0);
+  ::shutdown(half, SHUT_WR);  // Done sending; the answer must still come.
+
+  runtime::Request bfs;
+  bfs.source = sources.front();
+  bfs.graph = 1;
+  net::ResponseMsg answer;
+  CHECK(interactive.Submit(1, bfs, &answer, &error));
+  const std::size_t bulk_in_flight =
+      TenantNamed(listener.Stats(), "bulk").in_flight;
+  std::printf("head-of-line: BFS answered with %zu bulk lanes in flight\n",
+              bulk_in_flight);
+  CHECK(bulk_in_flight > 0);
+  runtime::QueryService reference;
+  reference.AddGraph(csr, config, "GK/bulk");
+  reference.AddGraph(csr, config, "GK/interactive");
+  CHECK(SameAnswer(answer.response, reference.Submit(bfs)));
+  CHECK(answer.response.status == runtime::Status::kOk);
+  interactive.Close(true);
+
+  for (int i = 0; i < kBulk; ++i) {
+    net::ResponseMsg response;
+    CHECK(bulk.ReadResponse(&response, &error));
+    CHECK(response.response.status == runtime::Status::kOk);
+  }
+  bulk.Close(true);
+  const net::Frame late = RawReadFrame(half);
+  CHECK(late.type == net::FrameType::kResponse);
+  net::ResponseMsg half_answer;
+  CHECK(net::DecodeResponse(late.payload, &half_answer));
+  CHECK(half_answer.id == 7);
+  CHECK(half_answer.response.status == runtime::Status::kOk);
+  CHECK(RawReadEof(half));
+  ::close(half);
+  listener.Shutdown();
+  CHECK(listener.Join() == 0);
+  const net::ListenerStats stats = listener.Stats();
+  CHECK(TenantNamed(stats, "bulk").served == kBulk);
+  CHECK(TenantNamed(stats, "half").served == 1);
+  CHECK(TenantNamed(stats, "interactive").served == 1);
+  CheckBalanced(stats);
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -611,6 +717,7 @@ int main() {
   emogi::TestMaxConnsRefusedTyped();
   emogi::TestDrainServesAdmittedBacklog();
   emogi::TestSocketPathMeansReady();
+  emogi::TestInteractiveOvertakesBulkWaves();
   std::printf("test_net_serving: all checks passed\n");
   return 0;
 }

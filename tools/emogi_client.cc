@@ -246,7 +246,8 @@ int main(int argc, char** argv) {
 
   // Trace replay: regenerate the same seeded request stream the
   // in-process serving path uses, pipeline it --window deep, and match
-  // responses by id (the server answers in dispatch order).
+  // responses by id (waves finish concurrently, so answers may arrive
+  // out of dispatch order).
   const std::vector<std::string> symbols =
       emogi::bench::SelectedSymbols(options);
   if (symbols.empty()) {

@@ -74,7 +74,8 @@ struct ServeFlags {
 
 // The SIGINT/SIGTERM drain path: the handler writes one 'q' byte to the
 // listener's wake pipe (async-signal-safe -- no locks, no allocation)
-// and the event loop begins its graceful drain.
+// and the event loop begins its graceful drain. The pipe is
+// nonblocking, so the handler can never block in write().
 volatile int g_shutdown_fd = -1;
 
 void HandleShutdownSignal(int) {
