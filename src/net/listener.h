@@ -31,7 +31,9 @@
 // of up to the service's max_lanes requests. Immediate answers carry
 // serve_seq 0 and never reach a wave: kInvalidSource (failed
 // validation), kOverloaded (tenant queue at its bound) and
-// kDeadlineExceeded (Request::deadline_ns passed while queued).
+// kDeadlineExceeded (Request::deadline_ns passed while queued). A
+// served answer too large for one frame goes out as kAnswerTooLarge
+// (net::EncodeResponse) and still counts as served.
 //
 // Protocol violations are connection-fatal and loud: the offender gets
 // one typed kError frame (malformed frame, version skew, hello

@@ -1,43 +1,31 @@
 #include "net/protocol.h"
 
+#include <array>
+#include <cassert>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace emogi::net {
 namespace {
 
-// Little-endian scalar append/read. The wire format is explicit-byte so
-// the encoding is identical across hosts regardless of native order.
-void PutU16(std::vector<std::uint8_t>* out, std::uint16_t v) {
-  out->push_back(static_cast<std::uint8_t>(v & 0xff));
-  out->push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
+// The wire is little-endian, and so is every host this repo targets (the
+// CSR cache writes its structs raw for the same reason): each field moves
+// as one whole-word memcpy, a single unaligned load or store.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the wire codec assumes a little-endian host");
+
+template <typename T>
+void Store(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
 }
 
-void PutU32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint16_t GetU16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0]) |
-         static_cast<std::uint16_t>(p[1]) << 8;
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+template <typename T>
+T Load(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
   return v;
 }
 
@@ -45,6 +33,51 @@ bool ValidFrameType(std::uint16_t raw) {
   return raw >= static_cast<std::uint16_t>(FrameType::kHello) &&
          raw <= static_cast<std::uint16_t>(FrameType::kGoodbye);
 }
+
+// One frame built in one allocation. The caller states the body size up
+// front; the header is written at once, each field is stored in place,
+// and Finish() checksums the body where it lies.
+class FrameWriter {
+ public:
+  FrameWriter(FrameType type, std::size_t body_size)
+      : frame_(kFrameHeaderBytes + body_size), pos_(kFrameHeaderBytes) {
+    Store(frame_.data(), kWireMagic);
+    Store(frame_.data() + 4, kWireVersion);
+    Store(frame_.data() + 6, static_cast<std::uint16_t>(type));
+    Store(frame_.data() + 8, static_cast<std::uint32_t>(body_size));
+  }
+
+  void U32(std::uint32_t v) { Put(v); }
+  void U64(std::uint64_t v) { Put(v); }
+  void Bytes(const std::string& s) {
+    if (!s.empty()) std::memcpy(frame_.data() + pos_, s.data(), s.size());
+    pos_ += s.size();
+  }
+  // A whole vector of wire words in one memcpy.
+  template <typename T>
+  void Array(const std::vector<T>& v) {
+    const std::size_t bytes = v.size() * sizeof(T);
+    if (bytes != 0) std::memcpy(frame_.data() + pos_, v.data(), bytes);
+    pos_ += bytes;
+  }
+
+  std::vector<std::uint8_t> Finish() && {
+    assert(pos_ == frame_.size());  // The stated body size was exact.
+    const std::uint8_t* body = frame_.data() + kFrameHeaderBytes;
+    Store(frame_.data() + 12, Crc32c(body, pos_ - kFrameHeaderBytes));
+    return std::move(frame_);
+  }
+
+ private:
+  template <typename T>
+  void Put(T v) {
+    Store(frame_.data() + pos_, v);
+    pos_ += sizeof(T);
+  }
+
+  std::vector<std::uint8_t> frame_;
+  std::size_t pos_;
+};
 
 // A sequential payload reader that fails sticky on any out-of-bounds
 // read, so Decode* bodies read field-by-field and check once at the end.
@@ -55,11 +88,11 @@ class Reader {
 
   std::uint32_t U32() {
     if (!Take(4)) return 0;
-    return GetU32(data_ + pos_ - 4);
+    return Load<std::uint32_t>(data_ + pos_ - 4);
   }
   std::uint64_t U64() {
     if (!Take(8)) return 0;
-    return GetU64(data_ + pos_ - 8);
+    return Load<std::uint64_t>(data_ + pos_ - 8);
   }
   bool Bytes(std::size_t n, std::string* out) {
     if (!Take(n)) return false;
@@ -69,16 +102,13 @@ class Reader {
   template <typename T>
   bool Array(std::size_t count, std::vector<T>* out) {
     static_assert(sizeof(T) == 4 || sizeof(T) == 8, "wire scalar width");
-    if (count > size_ / sizeof(T)) return ok_ = false;  // Cheap pre-check.
+    // Dividing, not multiplying, keeps a hostile count from overflowing.
+    if (!ok_ || count > (size_ - pos_) / sizeof(T)) return ok_ = false;
     out->resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if constexpr (sizeof(T) == 4) {
-        (*out)[i] = static_cast<T>(U32());
-      } else {
-        (*out)[i] = static_cast<T>(U64());
-      }
-    }
-    return ok_;
+    const std::size_t bytes = count * sizeof(T);
+    if (bytes != 0) std::memcpy(out->data(), data_ + pos_, bytes);
+    pos_ += bytes;
+    return true;
   }
 
   bool ok() const { return ok_; }
@@ -97,12 +127,48 @@ class Reader {
   bool ok_ = true;
 };
 
-std::vector<std::uint8_t> FinishFrame(FrameType type,
-                                      const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> out;
-  AppendFrame(&out, type, body.data(), body.size());
-  return out;
+// --- CRC-32C ---------------------------------------------------------------
+
+constexpr std::uint32_t kCrc32cPolynomial = 0x82F63B78u;  // Reflected.
+
+constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (kCrc32cPolynomial & (0u - (c & 1u)));
+    }
+    table[i] = c;
+  }
+  return table;
 }
+
+// Built at compile time, so concurrent first callers share no lazy init.
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+
+#if defined(__x86_64__)
+// Eight bytes per crc32 instruction, then the tail a byte at a time.
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
+    const std::uint8_t* data, std::size_t size) {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; size >= 8; data += 8, size -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data, 8);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  std::uint32_t crc32 = static_cast<std::uint32_t>(crc);
+  for (; size > 0; ++data, --size) crc32 = _mm_crc32_u8(crc32, *data);
+  return ~crc32;
+}
+
+bool CpuHasSse42() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+}
+#endif
 
 }  // namespace
 
@@ -164,39 +230,46 @@ const char* ToString(ErrorCode code) {
   return "unknown";
 }
 
-std::uint32_t Fnv1a32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t h = 0x811c9dc5u;
+std::uint32_t Crc32cPortable(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x01000193u;
+    crc = kCrc32cTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   }
-  return h;
+  return ~crc;
 }
 
-void AppendFrame(std::vector<std::uint8_t>* out, FrameType type,
-                 const std::uint8_t* payload, std::size_t payload_size) {
-  out->reserve(out->size() + kFrameHeaderBytes + payload_size);
-  PutU32(out, kWireMagic);
-  PutU16(out, kWireVersion);
-  PutU16(out, static_cast<std::uint16_t>(type));
-  PutU32(out, static_cast<std::uint32_t>(payload_size));
-  PutU32(out, Fnv1a32(payload, payload_size));
-  out->insert(out->end(), payload, payload + payload_size);
+bool Crc32cHardware([[maybe_unused]] const std::uint8_t* data,
+                    [[maybe_unused]] std::size_t size,
+                    [[maybe_unused]] std::uint32_t* crc) {
+#if defined(__x86_64__)
+  if (CpuHasSse42()) {
+    *crc = Crc32cSse42(data, size);
+    return true;
+  }
+#endif
+  return false;
+}
+
+std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0;
+  return Crc32cHardware(data, size, &crc) ? crc : Crc32cPortable(data, size);
 }
 
 DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t size,
                          Frame* frame, std::size_t* consumed) {
   *consumed = 0;
   if (size < kFrameHeaderBytes) return DecodeStatus::kIncomplete;
-  if (GetU32(data) != kWireMagic) return DecodeStatus::kBadMagic;
-  if (GetU16(data + 4) != kWireVersion) return DecodeStatus::kBadVersion;
-  const std::uint16_t raw_type = GetU16(data + 6);
+  if (Load<std::uint32_t>(data) != kWireMagic) return DecodeStatus::kBadMagic;
+  if (Load<std::uint16_t>(data + 4) != kWireVersion) {
+    return DecodeStatus::kBadVersion;
+  }
+  const std::uint16_t raw_type = Load<std::uint16_t>(data + 6);
   if (!ValidFrameType(raw_type)) return DecodeStatus::kBadType;
-  const std::uint32_t payload_len = GetU32(data + 8);
+  const std::uint32_t payload_len = Load<std::uint32_t>(data + 8);
   if (payload_len > kMaxPayloadBytes) return DecodeStatus::kOversized;
   if (size - kFrameHeaderBytes < payload_len) return DecodeStatus::kIncomplete;
   const std::uint8_t* payload = data + kFrameHeaderBytes;
-  if (Fnv1a32(payload, payload_len) != GetU32(data + 12)) {
+  if (Crc32c(payload, payload_len) != Load<std::uint32_t>(data + 12)) {
     return DecodeStatus::kBadChecksum;
   }
   frame->type = static_cast<FrameType>(raw_type);
@@ -208,11 +281,11 @@ DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t size,
 // --- Hello -----------------------------------------------------------------
 
 std::vector<std::uint8_t> EncodeHello(const HelloMsg& msg) {
-  std::vector<std::uint8_t> body;
-  PutU32(&body, msg.weight);
-  PutU32(&body, static_cast<std::uint32_t>(msg.tenant.size()));
-  body.insert(body.end(), msg.tenant.begin(), msg.tenant.end());
-  return FinishFrame(FrameType::kHello, body);
+  FrameWriter w(FrameType::kHello, 8 + msg.tenant.size());
+  w.U32(msg.weight);
+  w.U32(static_cast<std::uint32_t>(msg.tenant.size()));
+  w.Bytes(msg.tenant);
+  return std::move(w).Finish();
 }
 
 bool DecodeHello(const std::vector<std::uint8_t>& payload, HelloMsg* out) {
@@ -229,10 +302,10 @@ bool DecodeHello(const std::vector<std::uint8_t>& payload, HelloMsg* out) {
 // --- HelloAck --------------------------------------------------------------
 
 std::vector<std::uint8_t> EncodeHelloAck(const HelloAckMsg& msg) {
-  std::vector<std::uint8_t> body;
-  PutU32(&body, msg.num_graphs);
-  PutU32(&body, msg.max_lanes);
-  return FinishFrame(FrameType::kHelloAck, body);
+  FrameWriter w(FrameType::kHelloAck, 8);
+  w.U32(msg.num_graphs);
+  w.U32(msg.max_lanes);
+  return std::move(w).Finish();
 }
 
 bool DecodeHelloAck(const std::vector<std::uint8_t>& payload,
@@ -249,14 +322,14 @@ bool DecodeHelloAck(const std::vector<std::uint8_t>& payload,
 // --- Request ---------------------------------------------------------------
 
 std::vector<std::uint8_t> EncodeRequest(const RequestMsg& msg) {
-  std::vector<std::uint8_t> body;
-  PutU64(&body, msg.id);
-  PutU32(&body, static_cast<std::uint32_t>(msg.request.kind));
-  PutU32(&body, static_cast<std::uint32_t>(msg.request.graph));
-  PutU32(&body, msg.request.source);
-  PutU32(&body, 0);  // Reserved; keeps deadline_ns 8-byte aligned.
-  PutU64(&body, msg.request.deadline_ns);
-  return FinishFrame(FrameType::kRequest, body);
+  FrameWriter w(FrameType::kRequest, 32);
+  w.U64(msg.id);
+  w.U32(static_cast<std::uint32_t>(msg.request.kind));
+  w.U32(static_cast<std::uint32_t>(msg.request.graph));
+  w.U32(msg.request.source);
+  w.U32(0);  // Reserved; keeps deadline_ns 8-byte aligned.
+  w.U64(msg.request.deadline_ns);
+  return std::move(w).Finish();
 }
 
 bool DecodeRequest(const std::vector<std::uint8_t>& payload, RequestMsg* out) {
@@ -291,50 +364,66 @@ enum PayloadKind : std::uint32_t {
   kPayloadLabels = 3,     // u32 per vertex (CC).
 };
 
+// Four u64 and eight u32 fields precede the payload vector.
+constexpr std::size_t kResponseFixedBytes = 4 * 8 + 8 * 4;
+
 }  // namespace
 
 std::vector<std::uint8_t> EncodeResponse(const ResponseMsg& msg) {
   const runtime::Response& resp = msg.response;
+  runtime::Status status = resp.status;
   std::uint32_t payload_kind = kPayloadNone;
-  std::uint32_t count = 0;
+  std::size_t count = 0;
+  std::size_t width = 0;
   if (!resp.levels.empty()) {
     payload_kind = kPayloadLevels;
-    count = static_cast<std::uint32_t>(resp.levels.size());
+    count = resp.levels.size();
+    width = sizeof(std::uint32_t);
   } else if (!resp.distances.empty()) {
     payload_kind = kPayloadDistances;
-    count = static_cast<std::uint32_t>(resp.distances.size());
+    count = resp.distances.size();
+    width = sizeof(std::uint64_t);
   } else if (!resp.labels.empty()) {
     payload_kind = kPayloadLabels;
-    count = static_cast<std::uint32_t>(resp.labels.size());
+    count = resp.labels.size();
+    width = sizeof(graph::VertexId);
+  }
+  // A frame over the cap is one the peer's DecodeFrame rejects as
+  // kOversized, losing the connection: refuse the answer with a typed
+  // status instead and keep every other field.
+  if (kResponseFixedBytes + count * width > kMaxPayloadBytes) {
+    status = runtime::Status::kAnswerTooLarge;
+    payload_kind = kPayloadNone;
+    count = 0;
   }
 
-  std::vector<std::uint8_t> body;
-  PutU64(&body, msg.id);
-  PutU64(&body, msg.serve_seq);
-  PutU64(&body, msg.latency_ns);
-  PutU64(&body, resp.edges_scanned);
-  PutU32(&body, static_cast<std::uint32_t>(resp.status));
-  PutU32(&body, static_cast<std::uint32_t>(resp.kind));
-  PutU32(&body, static_cast<std::uint32_t>(resp.graph));
-  PutU32(&body, resp.source);
-  PutU32(&body, static_cast<std::uint32_t>(resp.wave));
-  PutU32(&body, static_cast<std::uint32_t>(resp.lane));
-  PutU32(&body, payload_kind);
-  PutU32(&body, count);
+  FrameWriter w(FrameType::kResponse, kResponseFixedBytes + count * width);
+  w.U64(msg.id);
+  w.U64(msg.serve_seq);
+  w.U64(msg.latency_ns);
+  w.U64(resp.edges_scanned);
+  w.U32(static_cast<std::uint32_t>(status));
+  w.U32(static_cast<std::uint32_t>(resp.kind));
+  w.U32(static_cast<std::uint32_t>(resp.graph));
+  w.U32(resp.source);
+  w.U32(static_cast<std::uint32_t>(resp.wave));
+  w.U32(static_cast<std::uint32_t>(resp.lane));
+  w.U32(payload_kind);
+  w.U32(static_cast<std::uint32_t>(count));
   switch (payload_kind) {
     case kPayloadLevels:
-      for (std::uint32_t v : resp.levels) PutU32(&body, v);
+      w.Array(resp.levels);
       break;
     case kPayloadDistances:
-      for (std::uint64_t v : resp.distances) PutU64(&body, v);
+      w.Array(resp.distances);
       break;
     case kPayloadLabels:
-      for (graph::VertexId v : resp.labels) PutU32(&body, v);
+      w.Array(resp.labels);
       break;
     default:
       break;
   }
-  return FinishFrame(FrameType::kResponse, body);
+  return std::move(w).Finish();
 }
 
 bool DecodeResponse(const std::vector<std::uint8_t>& payload,
@@ -354,7 +443,7 @@ bool DecodeResponse(const std::vector<std::uint8_t>& payload,
   const std::uint32_t payload_kind = r.U32();
   const std::uint32_t count = r.U32();
   if (!r.ok()) return false;
-  if (status > static_cast<std::uint32_t>(runtime::Status::kDeadlineExceeded))
+  if (status > static_cast<std::uint32_t>(runtime::Status::kAnswerTooLarge))
     return false;
   if (kind > static_cast<std::uint32_t>(runtime::QueryKind::kCc)) return false;
   if (graph > 0x7fffffffu) return false;
@@ -387,13 +476,12 @@ bool DecodeResponse(const std::vector<std::uint8_t>& payload,
 // --- Error / Goodbye -------------------------------------------------------
 
 std::vector<std::uint8_t> EncodeError(const ErrorMsg& msg) {
-  std::vector<std::uint8_t> body;
-  PutU32(&body, static_cast<std::uint32_t>(msg.code));
-  std::string text = msg.message;
-  if (text.size() > kMaxErrorMessageBytes) text.resize(kMaxErrorMessageBytes);
-  PutU32(&body, static_cast<std::uint32_t>(text.size()));
-  body.insert(body.end(), text.begin(), text.end());
-  return FinishFrame(FrameType::kError, body);
+  const std::string text = msg.message.substr(0, kMaxErrorMessageBytes);
+  FrameWriter w(FrameType::kError, 8 + text.size());
+  w.U32(static_cast<std::uint32_t>(msg.code));
+  w.U32(static_cast<std::uint32_t>(text.size()));
+  w.Bytes(text);
+  return std::move(w).Finish();
 }
 
 bool DecodeError(const std::vector<std::uint8_t>& payload, ErrorMsg* out) {
@@ -413,7 +501,7 @@ bool DecodeError(const std::vector<std::uint8_t>& payload, ErrorMsg* out) {
 }
 
 std::vector<std::uint8_t> EncodeGoodbye() {
-  return FinishFrame(FrameType::kGoodbye, {});
+  return FrameWriter(FrameType::kGoodbye, 0).Finish();
 }
 
 }  // namespace emogi::net

@@ -28,9 +28,11 @@ const char* ToString(Status status) {
     case Status::kOverloaded:
       return "OVERLOADED";
     case Status::kDeadlineExceeded:
+      return "DEADLINE_EXCEEDED";
+    case Status::kAnswerTooLarge:
       break;
   }
-  return "DEADLINE_EXCEEDED";
+  return "ANSWER_TOO_LARGE";
 }
 
 QueryService::QueryService(int max_lanes)

@@ -21,6 +21,10 @@
 //                     the dispatcher sheds it instead of burning a wave
 //                     slot. Enforced on both queued paths, the simulated
 //                     serve::Server and the live net::Listener.
+//   kAnswerTooLarge   the query was served, but its payload vector would
+//                     make a wire frame over net::kMaxPayloadBytes, so
+//                     net::EncodeResponse sent this status and no payload
+//                     (wave/lane kept). Only the wire issues it.
 //
 // QueryService is the synchronous boundary: it owns the shard table
 // (graph id -> resident CSR + access-mode config), validates every
@@ -48,7 +52,13 @@ enum class QueryKind { kBfs, kSssp, kCc };
 
 const char* ToString(QueryKind kind);
 
-enum class Status { kOk, kInvalidSource, kOverloaded, kDeadlineExceeded };
+enum class Status {
+  kOk,
+  kInvalidSource,
+  kOverloaded,
+  kDeadlineExceeded,
+  kAnswerTooLarge,
+};
 
 const char* ToString(Status status);
 
@@ -67,7 +77,8 @@ struct Request {
 
 // The per-query answer. For kOk, exactly what a dedicated sequential
 // run of the same algorithm returns; for every other status the payload
-// vectors are empty and wave/lane are -1.
+// vectors are empty and wave/lane are -1 (kAnswerTooLarge keeps the
+// wave/lane that served it).
 struct Response {
   Status status = Status::kOk;
   QueryKind kind = QueryKind::kBfs;

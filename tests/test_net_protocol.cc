@@ -1,9 +1,12 @@
 // The wire protocol's contracts, byte-exactly:
 //
-//  (a) Frame layout is frozen: a known RequestMsg encodes to a
-//      hand-computed byte sequence (magic, version, type, length, and
-//      FNV-1a-32 checksum at their documented offsets), so any codec
-//      drift breaks this file before it breaks a peer.
+//  (a) Frame layout is frozen: a known RequestMsg and a known 3-vertex
+//      BFS ResponseMsg encode to hand-computed byte sequences (magic,
+//      version, type, length, and CRC-32C checksum at their documented
+//      offsets), so any codec drift breaks this file before it breaks a
+//      peer. CRC-32C matches its published check values, its SSE4.2
+//      and table paths agree at every length and alignment, and four
+//      threads encoding at once in a fresh process agree byte for byte.
 //  (b) Every message type round-trips Encode -> DecodeFrame -> Decode*
 //      losslessly, including all three Response payload variants.
 //  (c) Truncation is never an error: every strict prefix of a valid
@@ -12,8 +15,10 @@
 //      frame either yields a typed decode error or (for type-field
 //      flips landing on another valid type) a frame that no longer
 //      claims the original type. No input crashes the decoder.
-//  (e) Oversized declared lengths and version-skewed frames are typed
-//      (kOversized / kBadVersion), not interpreted.
+//  (e) Oversized declared lengths and version-skewed frames (a stale
+//      version-1 peer and a future one) are typed (kOversized /
+//      kBadVersion), not interpreted. An answer too large for one frame
+//      is encoded as a typed kAnswerTooLarge refusal within the cap.
 //  (f) Payload decoders reject structural garbage -- bad lengths,
 //      unknown enum values, trailing bytes -- by returning false.
 //  (g) The runtime::Dispatcher every serving path shares serves
@@ -31,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/protocol.h"
@@ -53,10 +59,10 @@ void TestGoldenRequestFrame() {
   const std::vector<std::uint8_t> frame = net::EncodeRequest(msg);
 
   const std::uint8_t expected[] = {
-      // Header: magic "EMGI" (0x49474D45 LE), version 1, type kRequest,
-      // payload_len 32, FNV-1a-32 of the payload below.
-      0x45, 0x4D, 0x47, 0x49, 0x01, 0x00, 0x03, 0x00,
-      0x20, 0x00, 0x00, 0x00, 0xA1, 0x0B, 0x4A, 0x03,
+      // Header: magic "EMGI" (0x49474D45 LE), version 2, type kRequest,
+      // payload_len 32, CRC-32C of the payload below.
+      0x45, 0x4D, 0x47, 0x49, 0x02, 0x00, 0x03, 0x00,
+      0x20, 0x00, 0x00, 0x00, 0xE4, 0xDE, 0x29, 0x61,
       // Payload: id, kind, graph, source, reserved, deadline_ns.
       0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
       0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
@@ -66,10 +72,137 @@ void TestGoldenRequestFrame() {
   CHECK(frame.size() == sizeof(expected));
   CHECK(std::memcmp(frame.data(), expected, sizeof(expected)) == 0);
 
-  // The checksum really is FNV-1a 32 (offset-basis 0x811c9dc5).
-  CHECK(net::Fnv1a32(frame.data() + net::kFrameHeaderBytes, 32) ==
-        0x034A0BA1u);
-  CHECK(net::Fnv1a32(nullptr, 0) == 0x811c9dc5u);
+  // The checksum really is CRC-32C of the payload.
+  CHECK(net::Crc32cPortable(frame.data() + net::kFrameHeaderBytes, 32) ==
+        0x6129DEE4u);
+}
+
+void TestGoldenResponseFrame() {
+  net::ResponseMsg msg;
+  msg.id = 0x0102030405060708ull;
+  msg.serve_seq = 42;
+  msg.latency_ns = 1000;
+  msg.response.edges_scanned = 17;
+  msg.response.status = runtime::Status::kOk;
+  msg.response.kind = runtime::QueryKind::kBfs;
+  msg.response.graph = 1;
+  msg.response.source = 5;
+  msg.response.wave = 3;
+  msg.response.lane = 2;
+  msg.response.levels = {0, 1, 0xFFFFFFFFu};
+
+  const std::vector<std::uint8_t> frame = net::EncodeResponse(msg);
+
+  const std::uint8_t expected[] = {
+      // Header: magic, version 2, type kResponse, payload_len 76,
+      // CRC-32C of the payload below.
+      0x45, 0x4D, 0x47, 0x49, 0x02, 0x00, 0x04, 0x00,
+      0x4C, 0x00, 0x00, 0x00, 0x68, 0x2A, 0x18, 0xB8,
+      // id, serve_seq, latency_ns, edges_scanned (u64 each).
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xE8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // status kOk, kind kBfs, graph 1, source 5 (u32 each).
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      // wave 3, lane 2, payload kind 1 (levels), count 3.
+      0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      // levels: 0, 1, kNoLevel.
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0xFF, 0xFF, 0xFF, 0xFF,
+  };
+  CHECK(frame.size() == sizeof(expected));
+  CHECK(std::memcmp(frame.data(), expected, sizeof(expected)) == 0);
+}
+
+// CRC-32C check values: the standard "123456789" and RFC 3720 B.4.
+void TestCrc32cKnownAnswers() {
+  const auto both = [](const std::vector<std::uint8_t>& bytes,
+                       std::uint32_t want) {
+    CHECK(net::Crc32c(bytes.data(), bytes.size()) == want);
+    CHECK(net::Crc32cPortable(bytes.data(), bytes.size()) == want);
+  };
+  const std::string digits = "123456789";
+  both(std::vector<std::uint8_t>(digits.begin(), digits.end()), 0xE3069283u);
+  both(std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu);
+  both(std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u);
+  std::vector<std::uint8_t> ascending(32);
+  std::vector<std::uint8_t> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  both(ascending, 0x46DD794Eu);
+  both(descending, 0x113FDB5Cu);
+  CHECK(net::Crc32c(nullptr, 0) == 0);
+}
+
+// The hardware path agrees with the table at every length and start
+// alignment (unaligned 8-byte loads included).
+void TestCrc32cHardwareMatchesTable() {
+  std::vector<std::uint8_t> bytes(300 + 8);
+  std::uint32_t x = 12345;
+  for (std::uint8_t& b : bytes) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  std::uint32_t probe = 0;
+  const bool hardware = net::Crc32cHardware(bytes.data(), 0, &probe);
+  std::printf("test_net_protocol: CRC-32C hardware path %s\n",
+              hardware ? "present" : "absent (table only)");
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      const std::uint32_t want = net::Crc32cPortable(p, len);
+      CHECK(net::Crc32c(p, len) == want);
+      if (hardware) {
+        std::uint32_t got = 0;
+        CHECK(net::Crc32cHardware(p, len, &got));
+        CHECK(got == want);
+      }
+    }
+  }
+}
+
+// Run first, in a fresh process: four threads are the first to touch
+// the checksum path (the once-per-process CPU-feature choice), as the
+// listener's wave workers are. Under TSan this is the race check.
+void TestConcurrentEncodeInFreshProcess() {
+  net::ResponseMsg msg;
+  msg.id = 77;
+  msg.response.kind = runtime::QueryKind::kSssp;
+  msg.response.distances.assign(4096, 0);
+  for (std::size_t i = 0; i < msg.response.distances.size(); ++i) {
+    msg.response.distances[i] = i * 0x9E3779B97F4A7C15ull;
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint8_t>> frames(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&msg, &frames, t] {
+      for (int rep = 0; rep < 16; ++rep) frames[t] = net::EncodeResponse(msg);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    CHECK(frames[t] == frames[0]);
+    const std::uint8_t* header = frames[t].data();
+    const std::uint32_t stored =
+        static_cast<std::uint32_t>(header[12]) | header[13] << 8 |
+        header[14] << 16 | static_cast<std::uint32_t>(header[15]) << 24;
+    CHECK(stored == net::Crc32cPortable(header + net::kFrameHeaderBytes,
+                                        frames[t].size() -
+                                            net::kFrameHeaderBytes));
+  }
+  net::Frame frame;
+  std::size_t consumed = 0;
+  CHECK(net::DecodeFrame(frames[0].data(), frames[0].size(), &frame,
+                         &consumed) == net::DecodeStatus::kOk);
+  net::ResponseMsg out;
+  CHECK(net::DecodeResponse(frame.payload, &out));
+  CHECK(out.response.distances == msg.response.distances);
 }
 
 // --- (b) lossless round trips -----------------------------------------------
@@ -285,7 +418,7 @@ std::vector<std::uint8_t> HeaderOnly(std::uint16_t version,
   std::vector<std::uint8_t> bytes(net::kFrameHeaderBytes, 0);
   const std::uint32_t magic = net::kWireMagic;
   const std::uint16_t type = 3;  // kRequest.
-  const std::uint32_t checksum = net::Fnv1a32(nullptr, 0);
+  const std::uint32_t checksum = net::Crc32c(nullptr, 0);
   std::memcpy(bytes.data() + 0, &magic, 4);
   std::memcpy(bytes.data() + 4, &version, 2);
   std::memcpy(bytes.data() + 6, &type, 2);
@@ -303,15 +436,61 @@ void TestOversizedAndVersionSkew() {
   CHECK(net::DecodeFrame(oversized.data(), oversized.size(), &frame,
                          &consumed) == net::DecodeStatus::kOversized);
 
-  const std::vector<std::uint8_t> skewed = HeaderOnly(2, 0);
-  CHECK(net::DecodeFrame(skewed.data(), skewed.size(), &frame, &consumed) ==
-        net::DecodeStatus::kBadVersion);
+  // A stale version-1 peer and a future one are both skew.
+  for (const std::uint16_t version :
+       {std::uint16_t{1}, static_cast<std::uint16_t>(net::kWireVersion + 1)}) {
+    const std::vector<std::uint8_t> skewed = HeaderOnly(version, 0);
+    CHECK(net::DecodeFrame(skewed.data(), skewed.size(), &frame,
+                           &consumed) == net::DecodeStatus::kBadVersion);
+  }
 
   // An in-range but unknown frame type is kBadType, not a guess.
   std::vector<std::uint8_t> bad_type = HeaderOnly(net::kWireVersion, 0);
   bad_type[6] = 0x99;
   CHECK(net::DecodeFrame(bad_type.data(), bad_type.size(), &frame,
                          &consumed) == net::DecodeStatus::kBadType);
+}
+
+// The largest BFS answer that fits encodes in full; one vertex more is
+// refused as kAnswerTooLarge in a frame within the cap, not sent as a
+// frame the peer would reject as kOversized.
+void TestAnswerTooLargeIsTypedRefusal() {
+  constexpr std::size_t kFixedBytes = 64;  // Response fields before the vector.
+  const std::size_t fits = (net::kMaxPayloadBytes - kFixedBytes) / 4;
+  net::ResponseMsg msg;
+  msg.id = 5;
+  msg.serve_seq = 9;
+  msg.response.kind = runtime::QueryKind::kBfs;
+  msg.response.source = 3;
+  msg.response.wave = 2;
+  msg.response.lane = 1;
+  msg.response.levels.reserve(fits + 1);
+  msg.response.levels.assign(fits + 1, 7);
+  {
+    const std::vector<std::uint8_t> refused = net::EncodeResponse(msg);
+    CHECK(refused.size() == net::kFrameHeaderBytes + kFixedBytes);
+    const net::Frame frame = MustDecode(refused, net::FrameType::kResponse);
+    net::ResponseMsg out;
+    CHECK(net::DecodeResponse(frame.payload, &out));
+    CHECK(out.response.status == runtime::Status::kAnswerTooLarge);
+    CHECK(out.id == 5 && out.serve_seq == 9);
+    CHECK(out.response.kind == runtime::QueryKind::kBfs);
+    CHECK(out.response.source == 3);
+    CHECK(out.response.wave == 2 && out.response.lane == 1);
+    CHECK(out.response.levels.empty() && out.response.distances.empty() &&
+          out.response.labels.empty());
+  }
+  msg.response.levels.pop_back();
+  std::vector<std::uint8_t> full = net::EncodeResponse(msg);
+  std::vector<std::uint32_t>().swap(msg.response.levels);
+  CHECK(full.size() == net::kFrameHeaderBytes + net::kMaxPayloadBytes);
+  net::Frame frame = MustDecode(full, net::FrameType::kResponse);
+  std::vector<std::uint8_t>().swap(full);
+  net::ResponseMsg out;
+  CHECK(net::DecodeResponse(frame.payload, &out));
+  CHECK(out.response.status == runtime::Status::kOk);
+  CHECK(out.response.levels.size() == fits);
+  CHECK(out.response.levels.front() == 7 && out.response.levels.back() == 7);
 }
 
 // --- (f) payload decoder structural rejections ------------------------------
@@ -660,7 +839,11 @@ void TestEmptyFullListKeepsWeightedOrder() {
 }  // namespace emogi
 
 int main() {
+  emogi::TestConcurrentEncodeInFreshProcess();  // Must run first.
   emogi::TestGoldenRequestFrame();
+  emogi::TestGoldenResponseFrame();
+  emogi::TestCrc32cKnownAnswers();
+  emogi::TestCrc32cHardwareMatchesTable();
   emogi::TestHelloRoundTrip();
   emogi::TestHelloAckRoundTrip();
   emogi::TestRequestRoundTrip();
@@ -670,6 +853,7 @@ int main() {
   emogi::TestEveryBitFlipIsCaught();
   emogi::TestResponseBitFlipsNeverDecodeOk();
   emogi::TestOversizedAndVersionSkew();
+  emogi::TestAnswerTooLargeIsTypedRefusal();
   emogi::TestPayloadDecodersRejectGarbage();
   emogi::TestDrrExactWeightedOrder();
   emogi::TestDrrStateCarriesAcrossWaves();

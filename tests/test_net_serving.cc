@@ -423,13 +423,16 @@ void TestProtocolViolationsAreTypedAndLocal() {
     CHECK(RawReadEof(fd));
     ::close(fd);
   }
-  // Version skew: a valid frame from protocol rev 2 -> kVersionSkew.
-  {
+  // Version skew: a valid frame from a stale (rev 1) or a future
+  // protocol rev -> kVersionSkew.
+  for (const std::uint16_t version :
+       {std::uint16_t{1}, static_cast<std::uint16_t>(net::kWireVersion + 1)}) {
     const int fd = RawConnect(scratch.path);
     net::HelloMsg hello;
-    hello.tenant = "future";
+    hello.tenant = "skewed";
     std::vector<std::uint8_t> bytes = net::EncodeHello(hello);
-    bytes[4] = 2;  // Version field (offset 4), little-endian low byte.
+    bytes[4] = static_cast<std::uint8_t>(version & 0xff);  // Version field,
+    bytes[5] = static_cast<std::uint8_t>(version >> 8);    // little-endian.
     RawWrite(fd, bytes.data(), bytes.size());
     ExpectErrorFrame(fd, net::ErrorCode::kVersionSkew);
     CHECK(RawReadEof(fd));
@@ -474,7 +477,8 @@ void TestProtocolViolationsAreTypedAndLocal() {
   listener.Shutdown();
   CHECK(listener.Join() == 0);
   const net::ListenerStats stats = listener.Stats();
-  CHECK(stats.protocol_errors == 4);
+  // Garbage, two version skews, hello-required, duplicate-hello.
+  CHECK(stats.protocol_errors == 5);
   CheckBalanced(stats);
 }
 
