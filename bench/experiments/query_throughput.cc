@@ -1,5 +1,5 @@
 // Query throughput: serving a stream of concurrent traversal queries
-// through the multi-source batched engine (runtime::QueryBatcher over
+// through the multi-source batched engine (runtime::QueryService over
 // core/batched.h) versus serving them one source at a time.
 //
 // Method: per dataset, a seeded workload of kQueries mixed BFS/SSSP
@@ -32,7 +32,7 @@
 #include "bench/registry.h"
 #include "bench/workload.h"
 #include "core/engine.h"
-#include "runtime/query_batcher.h"
+#include "runtime/query_service.h"
 
 namespace emogi::bench {
 namespace {
@@ -133,12 +133,12 @@ int Run(const RunContext& ctx, Report* report) {
 
       std::vector<std::string> qps_cells, amortization_cells;
       for (const int k : kBatchSizes) {
-        const runtime::QueryBatcher batcher(csr, configs[m], k,
-                                            options.threads);
+        runtime::QueryService service(k, options.threads);
+        service.AddGraph(csr, configs[m]);
         runtime::BatchRunStats batch;
         const auto start = std::chrono::steady_clock::now();
         const std::vector<runtime::Response> results =
-            batcher.Run(queries, &batch);
+            service.SubmitBatch(queries, &batch);
         const double wall_ns = ElapsedNs(start);
 
         parity_ok = parity_ok && ResultsMatchReference(results, reference);

@@ -161,24 +161,10 @@ ModeResult MeasureReplays(const std::vector<Schedule>& schedules,
 ModeResult MeasureReplaysForMode(
     const std::vector<Schedule>& schedules, const core::EmogiConfig& config,
     const std::vector<std::uint64_t>& managed_bytes) {
-  switch (config.mode) {
-    case core::AccessMode::kUvm:
-      return MeasureReplays<core::StaticUvmAccountant>(schedules, config,
-                                                       managed_bytes);
-    case core::AccessMode::kNaive:
-      return MeasureReplays<
-          core::StaticZeroCopyAccountant<core::AccessMode::kNaive>>(
-          schedules, config, managed_bytes);
-    case core::AccessMode::kMerged:
-      return MeasureReplays<
-          core::StaticZeroCopyAccountant<core::AccessMode::kMerged>>(
-          schedules, config, managed_bytes);
-    case core::AccessMode::kMergedAligned:
-      break;
-  }
-  return MeasureReplays<
-      core::StaticZeroCopyAccountant<core::AccessMode::kMergedAligned>>(
-      schedules, config, managed_bytes);
+  return core::WithStaticAccountant(config.mode, [&](auto tag) {
+    return MeasureReplays<typename decltype(tag)::type>(schedules, config,
+                                                        managed_bytes);
+  });
 }
 
 double EdgesPerSec(std::uint64_t edges, double ns) {

@@ -87,27 +87,10 @@ template <typename Policy>
 TraversalStats DispatchRun(const graph::Csr& csr, const EmogiConfig& config,
                            Policy& policy) {
   const std::uint64_t managed_bytes = ManagedGraphBytes(csr);
-  switch (config.mode) {
-    case AccessMode::kUvm: {
-      StaticUvmAccountant accountant(config, managed_bytes);
-      return RunFrontierEngine(csr, policy, accountant);
-    }
-    case AccessMode::kNaive: {
-      StaticZeroCopyAccountant<AccessMode::kNaive> accountant(config,
-                                                              managed_bytes);
-      return RunFrontierEngine(csr, policy, accountant);
-    }
-    case AccessMode::kMerged: {
-      StaticZeroCopyAccountant<AccessMode::kMerged> accountant(config,
-                                                               managed_bytes);
-      return RunFrontierEngine(csr, policy, accountant);
-    }
-    case AccessMode::kMergedAligned:
-      break;
-  }
-  StaticZeroCopyAccountant<AccessMode::kMergedAligned> accountant(
-      config, managed_bytes);
-  return RunFrontierEngine(csr, policy, accountant);
+  return WithStaticAccountant(config.mode, [&](auto tag) {
+    typename decltype(tag)::type accountant(config, managed_bytes);
+    return RunFrontierEngine(csr, policy, accountant);
+  });
 }
 
 // The retained virtual-dispatch reference: the seed path through

@@ -8,9 +8,10 @@
 // re-derives per-request constants (TLP wire occupancy, tag-window
 // latency -- each a division in the PCIe model) inside the per-element
 // loop. The types here are concrete and final, selected once per run by
-// `DispatchRun` (core/engine.h) switching on `EmogiConfig::mode`, so the
-// compiler inlines `OnListScan`/`CloseKernel` straight into the engine
-// loop with all constants hoisted into members at construction.
+// `WithStaticAccountant` below (the one access-mode -> accountant
+// mapping every run entry goes through), so the compiler inlines
+// `OnListScan`/`CloseKernel` straight into the engine loop with all
+// constants hoisted into members at construction.
 //
 // Contract: these must stay arithmetic-identical to the virtual
 // reference path -- same operations in the same order, so every stat is
@@ -274,6 +275,34 @@ class StaticUvmAccountant final {
   TraversalStats stats_;
   std::uint64_t kernel_faults_ = 0;
 };
+
+// Names an accountant type without constructing one.
+template <typename T>
+struct AccountantTag {
+  using type = T;
+};
+
+// The one access-mode -> static-accountant mapping: calls
+// `fn(AccountantTag<A>{})` with A the monomorphized accountant of `mode`
+// and returns what it returns. Callers build their accountant as
+// `typename decltype(tag)::type`, so each (caller x mode) instantiation
+// is selected here once per run.
+template <typename Fn>
+auto WithStaticAccountant(AccessMode mode, Fn&& fn) {
+  switch (mode) {
+    case AccessMode::kUvm:
+      return fn(AccountantTag<StaticUvmAccountant>{});
+    case AccessMode::kNaive:
+      return fn(AccountantTag<StaticZeroCopyAccountant<AccessMode::kNaive>>{});
+    case AccessMode::kMerged:
+      return fn(
+          AccountantTag<StaticZeroCopyAccountant<AccessMode::kMerged>>{});
+    case AccessMode::kMergedAligned:
+      break;
+  }
+  return fn(
+      AccountantTag<StaticZeroCopyAccountant<AccessMode::kMergedAligned>>{});
+}
 
 }  // namespace emogi::core
 

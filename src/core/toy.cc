@@ -85,20 +85,11 @@ ToyResult RunToyCopy(ToyPattern pattern, std::uint64_t array_bytes,
   const std::uint64_t managed_bytes = array_bytes + sim::kSectorBytes;
 
   // Every toy pattern stands for a zero-copy mode (the UVM reference has
-  // its own closed form below), so dispatch covers the three of them.
-  if (pattern_config.mode == AccessMode::kNaive) {
-    StaticZeroCopyAccountant<AccessMode::kNaive> accountant(pattern_config,
-                                                            managed_bytes);
+  // its own closed form below), so the UVM branch is never taken.
+  return WithStaticAccountant(pattern_config.mode, [&](auto tag) {
+    typename decltype(tag)::type accountant(pattern_config, managed_bytes);
     return RunToyCopyWith(pattern, array_bytes, accountant);
-  }
-  if (pattern_config.mode == AccessMode::kMerged) {
-    StaticZeroCopyAccountant<AccessMode::kMerged> accountant(pattern_config,
-                                                             managed_bytes);
-    return RunToyCopyWith(pattern, array_bytes, accountant);
-  }
-  StaticZeroCopyAccountant<AccessMode::kMergedAligned> accountant(
-      pattern_config, managed_bytes);
-  return RunToyCopyWith(pattern, array_bytes, accountant);
+  });
 }
 
 double UvmToyBandwidth(std::uint64_t array_bytes, const EmogiConfig& config) {

@@ -6,9 +6,10 @@
 // and are free, exactly as in the paper's kernels -- only the edge list
 // (and SSSP's weight array) crosses the PCIe link.
 //
-// This is a thin facade: the frontier loop lives in core/engine.h, the
-// access-model costs behind the core/accountant.h interface, and the
-// per-source fan-out on the runtime/ thread pool.
+// This is a thin facade: the frontier loop lives in core/engine.h and
+// runs through DispatchRun, which picks the access mode's monomorphized
+// accountant (core/static_accountant.h); the per-source fan-out runs on
+// the runtime/ thread pool.
 
 #ifndef EMOGI_CORE_TRAVERSAL_H_
 #define EMOGI_CORE_TRAVERSAL_H_

@@ -213,26 +213,10 @@ MultiDeviceStats RunMultiDeviceEngine(const graph::Csr& csr,
                                       const core::EmogiConfig& config,
                                       const MultiGpuConfig& multi,
                                       Policy& policy) {
-  using core::AccessMode;
-  using core::StaticZeroCopyAccountant;
-  switch (config.mode) {
-    case AccessMode::kUvm:
-      return RunMultiDeviceEngineWith<Policy, core::StaticUvmAccountant>(
-          csr, config, multi, policy);
-    case AccessMode::kNaive:
-      return RunMultiDeviceEngineWith<
-          Policy, StaticZeroCopyAccountant<AccessMode::kNaive>>(csr, config,
-                                                                multi, policy);
-    case AccessMode::kMerged:
-      return RunMultiDeviceEngineWith<
-          Policy, StaticZeroCopyAccountant<AccessMode::kMerged>>(csr, config,
-                                                                 multi, policy);
-    case AccessMode::kMergedAligned:
-      break;
-  }
-  return RunMultiDeviceEngineWith<
-      Policy, StaticZeroCopyAccountant<AccessMode::kMergedAligned>>(
-      csr, config, multi, policy);
+  return core::WithStaticAccountant(config.mode, [&](auto tag) {
+    return RunMultiDeviceEngineWith<Policy, typename decltype(tag)::type>(
+        csr, config, multi, policy);
+  });
 }
 
 // Facade mirroring core::Traversal for the three stock applications.

@@ -15,6 +15,7 @@ namespace emogi::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 4096;
+constexpr int kPollTimeoutMs = 200;  // Idle poll tick.
 
 // W = max(2, cores - 1): one core stays with the poll thread, and a
 // second class always has a worker. Cores are the ones this process
@@ -478,7 +479,7 @@ void Listener::CollectCompletions() {
 void Listener::WaitForWaves() {
   while (!running_.empty()) {
     pollfd wake = {wake_fds_[0], POLLIN, 0};
-    poll(&wake, 1, options_.poll_timeout_ms);
+    poll(&wake, 1, kPollTimeoutMs);
     DrainWakePipe();
     CollectCompletions();
   }
@@ -539,7 +540,7 @@ int Listener::Run() {
 
     // No zero timeout while work is pending: whatever could let it
     // dispatch -- a finished wave, Resume, Shutdown -- writes the pipe.
-    int timeout = options_.poll_timeout_ms;
+    int timeout = kPollTimeoutMs;
     if (draining) timeout = std::min(timeout, 20);
 
     const int ready = poll(fds.data(), fds.size(), timeout);

@@ -84,7 +84,6 @@ struct ListenerOptions {
   std::size_t tenant_queue_bound = 64;  // Per-tenant queue bound.
   bool start_paused = false;      // Begin with dispatch gated off.
   int drain_timeout_ms = 5000;    // Force-close undrained peers after this.
-  int poll_timeout_ms = 200;      // Idle poll tick.
 };
 
 // Per-tenant service counters, snapshotted by Stats(). Every arrival is

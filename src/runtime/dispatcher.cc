@@ -34,8 +34,11 @@ std::vector<PendingRequest> Dispatcher::NextWave(
     std::vector<PendingRequest>* shed, const std::vector<WaveClass>& full) {
   for (Tenant& tenant : tenants_) {
     for (auto it = tenant.queue.begin(); it != tenant.queue.end();) {
+      // Waited longer than the deadline; written as a difference so a
+      // huge deadline (~0 = "effectively none") cannot wrap the sum.
       const std::uint64_t deadline = it->request.deadline_ns;
-      if (deadline > 0 && now_ns > it->arrival_ns + deadline) {
+      if (deadline > 0 && now_ns > it->arrival_ns &&
+          now_ns - it->arrival_ns > deadline) {
         shed->push_back(std::move(*it));
         it = tenant.queue.erase(it);
       } else {

@@ -12,7 +12,8 @@
 //
 //   * Deadline shedding. NextWave(now_ns, max_lanes, &shed) first
 //     removes every queued request with
-//     `deadline_ns > 0 && now_ns > arrival_ns + deadline_ns`, in tenant
+//     `deadline_ns > 0 && now_ns - arrival_ns > deadline_ns` (evaluated
+//     without overflow, so any deadline up to ~0 works), in tenant
 //     order, then queue order, and returns them in `shed` (the caller
 //     answers kDeadlineExceeded). A request whose service cannot start
 //     in time never takes a lane.

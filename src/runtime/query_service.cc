@@ -3,9 +3,77 @@
 #include <algorithm>
 #include <utility>
 
-#include "runtime/query_batcher.h"
+#include "core/engine.h"
+#include "runtime/sweep_runner.h"
 
 namespace emogi::runtime {
+namespace {
+
+// One wave: lane i serves request members[i], all of one (graph, kind).
+struct WavePlan {
+  int graph = 0;
+  QueryKind kind = QueryKind::kBfs;
+  std::vector<std::size_t> members;
+};
+
+// Runs `wave` (number `index`) as one engine run on `csr` and writes
+// each lane's answer into its response slot. Waves own disjoint slots,
+// so concurrent waves never touch the same Response.
+WaveStats RunWave(const graph::Csr& csr, const core::EmogiConfig& config,
+                  const WavePlan& wave, int index,
+                  const std::vector<Request>& requests,
+                  std::vector<Response>* responses) {
+  const int lanes = static_cast<int>(wave.members.size());
+  WaveStats wave_stats{wave.kind, lanes, wave.graph, {}, 0};
+  const auto lane_response = [&](int lane, std::uint64_t edges) -> Response& {
+    Response& response = (*responses)[wave.members[lane]];
+    response.wave = index;
+    response.lane = lane;
+    response.edges_scanned = edges;
+    return response;
+  };
+
+  if (wave.kind == QueryKind::kCc) {
+    core::CcPolicy policy(csr);
+    wave_stats.stats = core::DispatchRun(csr, config, policy);
+    // Every sweep scans the full edge list, so a dedicated run's scan
+    // cost is edges x sweeps -- identical for each lane, and paid once
+    // for the whole wave.
+    const std::uint64_t run_edges = csr.num_edges() * wave_stats.stats.kernels;
+    wave_stats.union_edges = run_edges;
+    for (int lane = 0; lane < lanes; ++lane) {
+      lane_response(lane, run_edges).labels =
+          lane + 1 == lanes ? std::move(policy.labels()) : policy.labels();
+    }
+    return wave_stats;
+  }
+
+  std::vector<graph::VertexId> sources;
+  sources.reserve(wave.members.size());
+  for (const std::size_t q : wave.members) {
+    sources.push_back(requests[q].source);
+  }
+  if (wave.kind == QueryKind::kBfs) {
+    core::BatchedBfsPolicy policy(csr, sources);
+    wave_stats.stats = core::DispatchRun(csr, config, policy);
+    wave_stats.union_edges = policy.union_edges();
+    for (int lane = 0; lane < lanes; ++lane) {
+      lane_response(lane, policy.lane_edges(lane)).levels =
+          std::move(policy.levels(lane));
+    }
+  } else {
+    core::BatchedSsspPolicy policy(csr, sources);
+    wave_stats.stats = core::DispatchRun(csr, config, policy);
+    wave_stats.union_edges = policy.union_edges();
+    for (int lane = 0; lane < lanes; ++lane) {
+      lane_response(lane, policy.lane_edges(lane)).distances =
+          std::move(policy.distances(lane));
+    }
+  }
+  return wave_stats;
+}
+
+}  // namespace
 
 const char* ToString(QueryKind kind) {
   switch (kind) {
@@ -35,8 +103,21 @@ const char* ToString(Status status) {
   return "ANSWER_TOO_LARGE";
 }
 
-QueryService::QueryService(int max_lanes)
-    : max_lanes_(std::clamp(max_lanes, 1, core::kMaxBatchLanes)) {}
+std::uint64_t BatchRunStats::EdgesScanned() const {
+  std::uint64_t edges = 0;
+  for (const WaveStats& wave : waves) edges += wave.union_edges;
+  return edges;
+}
+
+double BatchRunStats::SimulatedNs() const {
+  double ns = 0;
+  for (const WaveStats& wave : waves) ns += wave.stats.total_time_ns;
+  return ns;
+}
+
+QueryService::QueryService(int max_lanes, int threads)
+    : max_lanes_(std::clamp(max_lanes, 1, core::kMaxBatchLanes)),
+      threads_(threads) {}
 
 int QueryService::AddGraph(const graph::Csr& csr,
                            const core::EmogiConfig& config, std::string name) {
@@ -63,51 +144,44 @@ Response QueryService::Submit(const Request& request) const {
 
 std::vector<Response> QueryService::SubmitBatch(
     const std::vector<Request>& requests, BatchRunStats* stats) const {
+  // Validate each request once: a bad source or graph id fails alone
+  // and takes no lane; the rest are routed per shard in arrival order.
   std::vector<Response> responses(requests.size());
-  if (stats != nullptr) stats->waves.clear();
-
-  // Route per shard, preserving arrival order within each; a request
-  // naming no shard fails alone (kInvalidSource), like a bad source.
   std::vector<std::vector<std::size_t>> by_graph(shards_.size());
   for (std::size_t q = 0; q < requests.size(); ++q) {
     const Request& request = requests[q];
-    if (request.graph < 0 || request.graph >= num_graphs()) {
-      responses[q].status = Status::kInvalidSource;
-      responses[q].kind = request.kind;
-      responses[q].source = request.source;
-      responses[q].graph = request.graph;
-      continue;
-    }
-    by_graph[request.graph].push_back(q);
+    Response& response = responses[q];
+    response.kind = request.kind;
+    response.source = request.source;
+    response.graph = request.graph;
+    response.status = Validate(request);
+    if (response.status == Status::kOk) by_graph[request.graph].push_back(q);
   }
 
-  int wave_base = 0;
+  // Greedy packing, shard by shard: one open wave per kind, flushed at
+  // max_lanes.
+  std::vector<WavePlan> waves;
   for (int g = 0; g < num_graphs(); ++g) {
-    if (by_graph[g].empty()) continue;
-    std::vector<Request> shard_requests;
-    shard_requests.reserve(by_graph[g].size());
-    for (const std::size_t q : by_graph[g]) shard_requests.push_back(requests[q]);
-
-    // Waves inside one batch are served on the caller's thread; the
-    // serve layer parallelizes across shards, not within a dispatch.
-    const QueryBatcher batcher(*shards_[g].csr, shards_[g].config, max_lanes_,
-                               /*threads=*/1);
-    BatchRunStats shard_stats;
-    std::vector<Response> shard_responses =
-        batcher.Run(shard_requests, &shard_stats);
-    for (std::size_t i = 0; i < by_graph[g].size(); ++i) {
-      Response& response = shard_responses[i];
-      if (response.wave >= 0) response.wave += wave_base;
-      responses[by_graph[g][i]] = std::move(response);
-    }
-    for (WaveStats& wave : shard_stats.waves) wave.graph = g;
-    wave_base += static_cast<int>(shard_stats.waves.size());
-    if (stats != nullptr) {
-      for (WaveStats& wave : shard_stats.waves) {
-        stats->waves.push_back(std::move(wave));
+    // Open wave index per kind (indexed kBfs, kSssp, kCc), -1 when none.
+    int open[3] = {-1, -1, -1};
+    for (const std::size_t q : by_graph[g]) {
+      int& slot = open[static_cast<int>(requests[q].kind)];
+      if (slot < 0 ||
+          static_cast<int>(waves[slot].members.size()) >= max_lanes_) {
+        slot = static_cast<int>(waves.size());
+        waves.push_back(WavePlan{g, requests[q].kind, {}});
       }
+      waves[slot].members.push_back(q);
     }
   }
+
+  std::vector<WaveStats> wave_stats =
+      SweepRunner(threads_).Run(waves.size(), [&](std::size_t w) {
+        const Shard& shard = shards_[waves[w].graph];
+        return RunWave(*shard.csr, shard.config, waves[w],
+                       static_cast<int>(w), requests, &responses);
+      });
+  if (stats != nullptr) stats->waves = std::move(wave_stats);
   return responses;
 }
 

@@ -26,13 +26,29 @@
 //                     net::EncodeResponse sent this status and no payload
 //                     (wave/lane kept). Only the wire issues it.
 //
-// QueryService is the synchronous boundary: it owns the shard table
-// (graph id -> resident CSR + access-mode config), validates every
-// request, and serves batches through the multi-source batched engine
-// (`QueryBatcher::Run` is the internal batch path). Queued serving on
-// top of it goes through runtime::Dispatcher (src/runtime/dispatcher.h),
-// driven by serve::Server on a simulated clock and by net::Listener on
-// the wall clock.
+// QueryService is the synchronous boundary and the only batch path: it
+// owns the shard table (graph id -> resident CSR + access-mode config),
+// validates every request once, packs the valid ones into waves, and
+// runs each wave as one multi-source engine run (core/batched.h).
+//
+// A wave is up to `max_lanes` (<= core::kMaxBatchLanes) requests of one
+// (graph, kind) class: BFS lanes cannot share a sweep with SSSP lanes
+// because the two policies stream different arrays (SSSP also scans
+// weights). CC has no per-query source, so one run answers every lane
+// of a CC wave outright. The accountant is charged once per shared
+// scan, so K concurrent queries cost one amortized sweep instead of K
+// full ones (the query_throughput experiment measures the ratio).
+//
+// Packing is greedy, shard by shard and then in arrival order, with one
+// open wave per kind flushed at max_lanes, so the wave/lane assignment
+// is a pure function of the batch. Waves are independent engine runs,
+// each with its own cold accountant, so fanning them across `threads`
+// workers is deterministic: answers and per-wave stats are
+// byte-identical at any thread count.
+//
+// Queued serving on top of it goes through runtime::Dispatcher
+// (src/runtime/dispatcher.h), driven by serve::Server on a simulated
+// clock and by net::Listener on the wall clock.
 
 #ifndef EMOGI_RUNTIME_QUERY_SERVICE_H_
 #define EMOGI_RUNTIME_QUERY_SERVICE_H_
@@ -118,8 +134,11 @@ struct BatchRunStats {
 class QueryService {
  public:
   // `max_lanes` caps the wave width K, clamped to
-  // [1, core::kMaxBatchLanes].
-  explicit QueryService(int max_lanes = core::kMaxBatchLanes);
+  // [1, core::kMaxBatchLanes]. `threads` (<= 0 for the hardware
+  // default) fans the waves of one SubmitBatch across a pool; 1 runs
+  // them on the caller's thread.
+  explicit QueryService(int max_lanes = core::kMaxBatchLanes,
+                        int threads = 1);
 
   // Registers a resident graph served under `config`; returns its shard
   // id (dense, starting at 0). The CSR must outlive the service.
@@ -141,15 +160,16 @@ class QueryService {
   Response Submit(const Request& request) const;
 
   // Serves a batch: requests are validated individually (invalid ones
-  // come back kInvalidSource without disturbing the rest), grouped per
-  // shard, and packed into <= max_lanes same-kind waves in arrival
-  // order. Responses are in input order; `stats` (optional) receives
-  // every wave's engine cost with globally numbered wave indices.
+  // come back kInvalidSource with wave/lane -1, without disturbing the
+  // rest), and the valid ones are packed into <= max_lanes waves, shard
+  // by shard and then in arrival order. Responses are in input order;
+  // `stats` (optional) receives every wave's engine cost, indexed by
+  // the wave numbers the responses report.
   //
   // Safe to call from several threads at once once every AddGraph has
   // returned: it is const, the shard table and CSRs are only read, and
-  // each call builds its own batcher and accountants. net::Listener's
-  // workers call it concurrently, one wave each.
+  // each call builds its own accountants. net::Listener's workers call
+  // it concurrently, one wave each.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests,
                                     BatchRunStats* stats = nullptr) const;
 
@@ -161,6 +181,7 @@ class QueryService {
   };
 
   int max_lanes_;
+  int threads_;
   std::vector<Shard> shards_;
 };
 

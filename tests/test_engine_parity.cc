@@ -156,27 +156,10 @@ template <typename MakePolicy>
 void CheckKernelCostParityAllModes(const graph::Csr& csr,
                                    const core::EmogiConfig& config,
                                    const MakePolicy& make_policy) {
-  switch (config.mode) {
-    case core::AccessMode::kUvm:
-      CheckKernelCostParity<core::StaticUvmAccountant>(csr, config,
-                                                       make_policy);
-      break;
-    case core::AccessMode::kNaive:
-      CheckKernelCostParity<
-          core::StaticZeroCopyAccountant<core::AccessMode::kNaive>>(
-          csr, config, make_policy);
-      break;
-    case core::AccessMode::kMerged:
-      CheckKernelCostParity<
-          core::StaticZeroCopyAccountant<core::AccessMode::kMerged>>(
-          csr, config, make_policy);
-      break;
-    case core::AccessMode::kMergedAligned:
-      CheckKernelCostParity<
-          core::StaticZeroCopyAccountant<core::AccessMode::kMergedAligned>>(
-          csr, config, make_policy);
-      break;
-  }
+  core::WithStaticAccountant(config.mode, [&](auto tag) {
+    CheckKernelCostParity<typename decltype(tag)::type>(csr, config,
+                                                        make_policy);
+  });
 }
 
 // All 4 modes x 3 policies: DispatchRun's monomorphized run must match

@@ -11,13 +11,16 @@
 //      iteration-start relaxation is order-independent, so K-lane ==
 //      K x 1-lane exactly -- see core/batched.h for why live-relaxation
 //      visit counts can differ).
-//  (c) QueryBatcher: results in input order, wave packing respects K,
-//      and the whole serving -- results, per-query visit counts, and
-//      per-wave TraversalStats -- is byte-identical at every thread
-//      count (the TSan CI job runs this file to prove the fan-out is
-//      also race-free).
+//  (c) QueryService::SubmitBatch: results in input order, wave packing
+//      respects K, and the whole serving -- results, per-query visit
+//      counts, and per-wave TraversalStats -- is byte-identical at every
+//      thread count (the TSan CI job runs this file to prove the wave
+//      fan-out is also race-free).
 //  (d) Amortization accounting: union_edges <= sum of lane edges, with
 //      equality exactly when no scan was shared.
+//  (e) Routing: a mixed batch over two shards is numbered shard-major,
+//      every wave names its shard, bad requests fail alone, and every
+//      answer equals a single-shard service's.
 
 #include <cstdio>
 #include <vector>
@@ -26,7 +29,7 @@
 #include "core/engine.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
-#include "runtime/query_batcher.h"
+#include "runtime/query_service.h"
 #include "test_util.h"
 
 namespace emogi {
@@ -149,7 +152,16 @@ void TestDivergentFrontiersScanSeparately() {
   CHECK(shared.union_edges() == 2);  // Fully amortized.
 }
 
-// --- (c): QueryBatcher serving ----------------------------------------------
+// --- (c) + (d): QueryService serving ----------------------------------------
+
+// A service over `csr` alone: the graph every request names as 0.
+runtime::QueryService OneShard(const graph::Csr& csr,
+                               const core::EmogiConfig& config, int k,
+                               int threads = 1) {
+  runtime::QueryService service(k, threads);
+  service.AddGraph(csr, config);
+  return service;
+}
 
 std::vector<runtime::Request> MixedQueries(const graph::Csr& csr,
                                                   int count) {
@@ -169,6 +181,7 @@ bool WaveStatsEqual(const runtime::BatchRunStats& a,
   if (a.waves.size() != b.waves.size()) return false;
   for (std::size_t w = 0; w < a.waves.size(); ++w) {
     if (a.waves[w].kind != b.waves[w].kind) return false;
+    if (a.waves[w].graph != b.waves[w].graph) return false;
     if (a.waves[w].lanes != b.waves[w].lanes) return false;
     if (a.waves[w].union_edges != b.waves[w].union_edges) return false;
     if (a.waves[w].stats != b.waves[w].stats) return false;
@@ -180,17 +193,18 @@ bool ResultsEqual(const std::vector<runtime::Response>& a,
                   const std::vector<runtime::Response>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t q = 0; q < a.size(); ++q) {
-    if (a[q].kind != b[q].kind || a[q].source != b[q].source ||
-        a[q].wave != b[q].wave || a[q].lane != b[q].lane ||
-        a[q].edges_scanned != b[q].edges_scanned ||
-        a[q].levels != b[q].levels || a[q].distances != b[q].distances) {
+    if (a[q].status != b[q].status || a[q].kind != b[q].kind ||
+        a[q].source != b[q].source || a[q].wave != b[q].wave ||
+        a[q].lane != b[q].lane || a[q].edges_scanned != b[q].edges_scanned ||
+        a[q].levels != b[q].levels || a[q].distances != b[q].distances ||
+        a[q].labels != b[q].labels) {
       return false;
     }
   }
   return true;
 }
 
-void TestQueryBatcherServing() {
+void TestBatchServing() {
   const graph::Csr csr = graph::LoadOrGenerateDataset("GK", 16384);
   const std::vector<runtime::Request> queries = MixedQueries(csr, 23);
 
@@ -199,10 +213,9 @@ void TestQueryBatcherServing() {
 
     for (const int k : {1, 8, 64}) {
       // The reference serving: one worker.
-      const runtime::QueryBatcher reference_batcher(csr, config, k, 1);
       runtime::BatchRunStats reference_stats;
       const std::vector<runtime::Response> reference =
-          reference_batcher.Run(queries, &reference_stats);
+          OneShard(csr, config, k).SubmitBatch(queries, &reference_stats);
 
       CHECK(reference.size() == queries.size());
       for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -231,10 +244,10 @@ void TestQueryBatcherServing() {
       // Byte-identical serving at any pool size (the EMOGI_THREADS
       // seam): results, per-query visit counts, per-wave stats.
       for (const int threads : {2, 5}) {
-        const runtime::QueryBatcher pooled(csr, config, k, threads);
         runtime::BatchRunStats pooled_stats;
         const std::vector<runtime::Response> results =
-            pooled.Run(queries, &pooled_stats);
+            OneShard(csr, config, k, threads).SubmitBatch(queries,
+                                                          &pooled_stats);
         CHECK(ResultsEqual(results, reference));
         CHECK(WaveStatsEqual(pooled_stats, reference_stats));
       }
@@ -244,9 +257,9 @@ void TestQueryBatcherServing() {
     // contract): every K serves the same per-query edge charges.
     runtime::BatchRunStats k1_stats, k64_stats;
     const std::vector<runtime::Response> k1 =
-        runtime::QueryBatcher(csr, config, 1, 1).Run(queries, &k1_stats);
+        OneShard(csr, config, 1).SubmitBatch(queries, &k1_stats);
     const std::vector<runtime::Response> k64 =
-        runtime::QueryBatcher(csr, config, 64, 1).Run(queries, &k64_stats);
+        OneShard(csr, config, 64).SubmitBatch(queries, &k64_stats);
     std::uint64_t lane_edge_sum = 0;
     for (std::size_t q = 0; q < queries.size(); ++q) {
       CHECK(k1[q].edges_scanned == k64[q].edges_scanned);
@@ -260,7 +273,7 @@ void TestQueryBatcherServing() {
   }
 }
 
-// Regression: the batcher used to trust `source` outright, so one
+// Regression: the batch path used to trust `source` outright, so one
 // out-of-range vertex id aborted the whole wave. Now a bad source fails
 // alone (kInvalidSource, empty payload, no wave slot) and the rest of
 // the stream is served exactly as if it were never submitted.
@@ -278,12 +291,12 @@ void TestInvalidSourceFailsAlone() {
                   {runtime::QueryKind::kSssp, csr.num_vertices() + 1000});
   poisoned.push_back({runtime::QueryKind::kBfs, ~graph::VertexId{0}});
 
-  const runtime::QueryBatcher batcher(csr, config, 8, 1);
+  const runtime::QueryService service = OneShard(csr, config, 8);
   runtime::BatchRunStats poisoned_stats, valid_stats;
   const std::vector<runtime::Response> results =
-      batcher.Run(poisoned, &poisoned_stats);
+      service.SubmitBatch(poisoned, &poisoned_stats);
   const std::vector<runtime::Response> reference =
-      batcher.Run(valid, &valid_stats);
+      service.SubmitBatch(valid, &valid_stats);
 
   CHECK(results.size() == poisoned.size());
   std::size_t next_valid = 0;
@@ -327,10 +340,9 @@ void TestCcWaveSharing() {
     queries.insert(queries.begin() + 2,
                    {runtime::QueryKind::kBfs, graph::PickSources(csr, 1)[0]});
 
-    const runtime::QueryBatcher batcher(csr, config, 8, 1);
     runtime::BatchRunStats stats;
     const std::vector<runtime::Response> results =
-        batcher.Run(queries, &stats);
+        OneShard(csr, config, 8).SubmitBatch(queries, &stats);
 
     CHECK(stats.waves.size() == 2);  // One CC wave, one BFS wave.
     const std::uint64_t run_edges =
@@ -349,15 +361,119 @@ void TestCcWaveSharing() {
   }
 }
 
+// --- (e): routing a mixed batch over two shards -----------------------------
+
+// BFS, SSSP and CC interleaved across two shards with different graphs
+// and access modes, plus an unknown graph id and an out-of-range
+// source. Waves are numbered shard-major (every shard-0 wave before any
+// shard-1 wave) and each shard's part is served exactly as a
+// single-shard service serves it alone.
+void TestMixedShardRouting() {
+  const graph::Csr gk = graph::LoadOrGenerateDataset("GK", 16384);
+  const graph::Csr small = graph::GenerateUniformRandom(1 << 10, 8, 7);
+  core::EmogiConfig gk_config = core::EmogiConfig::MergedAligned();
+  gk_config.device.scale_factor = 1 << 14;
+  core::EmogiConfig small_config = core::EmogiConfig::Uvm();
+  small_config.device.scale_factor = 1 << 14;
+  const std::vector<const graph::Csr*> graphs = {&gk, &small};
+  const std::vector<core::EmogiConfig> configs = {gk_config, small_config};
+  constexpr int kLanes = 3;
+
+  runtime::QueryService service(kLanes);
+  CHECK(service.AddGraph(gk, gk_config) == 0);
+  CHECK(service.AddGraph(small, small_config) == 1);
+
+  // Shard 1's requests come first in arrival order; numbering is still
+  // shard-major.
+  const std::vector<graph::VertexId> gk_sources = CycledSources(gk, 5);
+  const std::vector<graph::VertexId> small_sources = CycledSources(small, 5);
+  const runtime::QueryKind kinds[] = {runtime::QueryKind::kBfs,
+                                      runtime::QueryKind::kSssp,
+                                      runtime::QueryKind::kCc};
+  std::vector<runtime::Request> requests;
+  for (int i = 0; i < 10; ++i) {
+    const runtime::QueryKind kind = kinds[(i + i / 3) % 3];
+    requests.push_back({kind, small_sources[i % 5], 1});
+    requests.push_back({kind, gk_sources[(i + 2) % 5], 0});
+  }
+  const std::size_t unknown_graph = 7;
+  const std::size_t bad_source = 12;
+  requests.insert(requests.begin() + unknown_graph,
+                  {runtime::QueryKind::kBfs, 0, 2});
+  requests.insert(requests.begin() + bad_source,
+                  {runtime::QueryKind::kSssp, small.num_vertices(), 1});
+
+  runtime::BatchRunStats stats;
+  const std::vector<runtime::Response> responses =
+      service.SubmitBatch(requests, &stats);
+  CHECK(responses.size() == requests.size());
+
+  for (const std::size_t q : {unknown_graph, bad_source}) {
+    const runtime::Response& r = responses[q];
+    CHECK(r.status == runtime::Status::kInvalidSource);
+    CHECK(r.graph == requests[q].graph && r.kind == requests[q].kind);
+    CHECK(r.wave == -1 && r.lane == -1);
+    CHECK(r.levels.empty() && r.distances.empty() && r.labels.empty());
+  }
+
+  // Every wave names its shard, and shards appear in order.
+  for (std::size_t w = 0; w < stats.waves.size(); ++w) {
+    CHECK(stats.waves[w].graph == 0 || stats.waves[w].graph == 1);
+    if (w > 0) CHECK(stats.waves[w - 1].graph <= stats.waves[w].graph);
+  }
+
+  int wave_base = 0;
+  for (int g = 0; g < 2; ++g) {
+    // The shard's valid requests, in arrival order, against it alone.
+    std::vector<std::size_t> members;
+    std::vector<runtime::Request> alone;
+    for (std::size_t q = 0; q < requests.size(); ++q) {
+      if (q == unknown_graph || q == bad_source) continue;
+      if (requests[q].graph != g) continue;
+      members.push_back(q);
+      alone.push_back(requests[q]);
+      alone.back().graph = 0;
+    }
+    runtime::BatchRunStats alone_stats;
+    const std::vector<runtime::Response> expected =
+        OneShard(*graphs[g], configs[g], kLanes)
+            .SubmitBatch(alone, &alone_stats);
+
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const runtime::Response& r = responses[members[i]];
+      const runtime::Response& e = expected[i];
+      CHECK(r.status == runtime::Status::kOk && e.status == r.status);
+      CHECK(r.graph == g);
+      CHECK(r.wave == wave_base + e.wave && r.lane == e.lane);
+      CHECK(stats.waves[r.wave].graph == g);
+      CHECK(stats.waves[r.wave].kind == r.kind);
+      CHECK(r.levels == e.levels && r.distances == e.distances &&
+            r.labels == e.labels);
+      CHECK(r.edges_scanned == e.edges_scanned);
+    }
+    for (std::size_t w = 0; w < alone_stats.waves.size(); ++w) {
+      const runtime::WaveStats& got = stats.waves[wave_base + w];
+      CHECK(got.graph == g);
+      CHECK(got.kind == alone_stats.waves[w].kind);
+      CHECK(got.lanes == alone_stats.waves[w].lanes);
+      CHECK(got.stats == alone_stats.waves[w].stats);
+      CHECK(got.union_edges == alone_stats.waves[w].union_edges);
+    }
+    wave_base += static_cast<int>(alone_stats.waves.size());
+  }
+  CHECK(wave_base == static_cast<int>(stats.waves.size()));
+}
+
 }  // namespace
 }  // namespace emogi
 
 int main() {
   emogi::TestBatchedPolicyParity();
   emogi::TestDivergentFrontiersScanSeparately();
-  emogi::TestQueryBatcherServing();
+  emogi::TestBatchServing();
   emogi::TestInvalidSourceFailsAlone();
   emogi::TestCcWaveSharing();
+  emogi::TestMixedShardRouting();
   std::printf("test_query_batcher: OK\n");
   return 0;
 }

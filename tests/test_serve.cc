@@ -223,11 +223,14 @@ void TestDeadlineShedAtDispatch() {
   CHECK(outcome.queries[1].completion_ns ==
         outcome.queries[0].completion_ns);
 
-  // A deadline generous enough to cover the queueing is never shed.
-  trace[1].request.deadline_ns = ~0ull >> 1;
-  const serve::ServeOutcome relaxed = server.ServeTrace(trace);
-  CHECK(relaxed.queries[1].response.status == runtime::Status::kOk);
-  CHECK(relaxed.shards[0].dropped_deadline == 0);
+  // A deadline generous enough to cover the queueing is never shed --
+  // including ~0 ("effectively none"), where arrival + deadline wraps.
+  for (const std::uint64_t deadline : {~0ull >> 1, ~0ull}) {
+    trace[1].request.deadline_ns = deadline;
+    const serve::ServeOutcome relaxed = server.ServeTrace(trace);
+    CHECK(relaxed.queries[1].response.status == runtime::Status::kOk);
+    CHECK(relaxed.shards[0].dropped_deadline == 0);
+  }
 }
 
 // --- (e) thread-count determinism on a multi-shard trace --------------------
