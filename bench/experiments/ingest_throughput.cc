@@ -242,18 +242,18 @@ int Run(const RunContext& ctx, Report* report) {
   }
 
   // --- In-memory vs chunked cache build ------------------------------------
-  // Auto budget: small enough that the spilled arc set (num_edges * 8
-  // bytes; mirror arcs included) needs several chunks, large enough
-  // that the heaviest vertex still fits half of it.
-  const std::uint64_t arc_bytes = edges * 8;
+  // Auto budget: small enough that the resident adjacency lists
+  // (num_edges * 4 bytes; mirror arcs included) need several chunks,
+  // large enough that the heaviest vertex's list still fits half of it.
+  const std::uint64_t list_bytes = edges * 4;
   graph::EdgeIndex max_degree = 0;
   for (graph::VertexId v = 0; v < base.num_vertices(); ++v) {
     max_degree = std::max(max_degree, base.Degree(v));
   }
   const bool auto_budget = options.data.memory_budget == 0;
   const std::uint64_t budget =
-      auto_budget ? std::max<std::uint64_t>({64, 2 * max_degree * 8,
-                                             arc_bytes / 2})
+      auto_budget ? std::max<std::uint64_t>({64, 2 * max_degree * 4,
+                                             list_bytes / 2})
                   : options.data.memory_budget;
 
   const std::string mem_cache = dir.File(symbol + ".mem.csr");
@@ -350,10 +350,12 @@ int Run(const RunContext& ctx, Report* report) {
 
   report->Text(
       "\nnote: wall-clock repository throughput (not a paper figure). The "
-      "chunked build streams the container twice and spills per-chunk arc "
-      "runs, holding at most the budget of edge data resident; its cache "
-      "file is byte-identical to the in-memory builder's, and the paged "
-      "view serves traversal straight out of the mapped file.\n");
+      "chunked build parses the container once into a raw arc spill, "
+      "splits it into per-chunk spills, and assembles each chunk's lists "
+      "in per-source buckets, holding at most the budget of edge data "
+      "resident; its cache file is byte-identical to the in-memory "
+      "builder's, and the paged view serves traversal straight out of the "
+      "mapped file.\n");
 
   if (ctx.selfcheck) {
     report->Metric("", "", "selfcheck_ok", ok ? 1 : 0, "");

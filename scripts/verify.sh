@@ -182,6 +182,18 @@ echo "=== out-of-core ingestion: container decode + chunked build ==="
   --format=json --out build/BENCH_ingest_throughput.json
 
 echo
+echo "=== regression gate: ingest_throughput vs checked-in baseline ==="
+# The checked-in baseline keeps only the deterministic rows (chunk count,
+# auto budget, peak resident edge bytes, spill bytes, cache file size and
+# pages, selfcheck_ok); the edges/s, *_duration_ns and resident_pages
+# rows were stripped when it was generated, so every compared metric
+# must match exactly on any machine.
+./build/emogi_bench run ingest_throughput --scale 16384 --sources 2 \
+  --selfcheck --format=json --out build/BENCH_ingest_throughput_gate.json
+./build/bench_compare bench/baselines/BENCH_ingest_throughput.json \
+  build/BENCH_ingest_throughput_gate.json
+
+echo
 echo "=== out-of-core parity: fig09 paged + budgeted vs resident ==="
 # The same fixture graph served two ways -- classic resident CSR, then a
 # fresh chunked (1 MiB budget) cache build served as an mmap-ed view --

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/crc32c.h"
 #include "io/stream.h"
 
 namespace emogi::io {
@@ -23,24 +24,13 @@ bool Invalid(std::string* error, const std::string& path,
 
 }  // namespace
 
-std::uint64_t Fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t basis) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = basis;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 // The checksum covers the header itself (with the checksum field
 // zeroed) as well as the payload, so bit rot in flags/counts/signature
 // is caught and not just in the arrays.
-std::uint64_t CsrCacheHeaderBasis(const CsrCacheHeader& header) {
+std::uint32_t CsrCacheHeaderBasis(const CsrCacheHeader& header) {
   CsrCacheHeader zeroed = header;
   zeroed.payload_checksum = 0;
-  return Fnv1a64(&zeroed, sizeof(zeroed));
+  return Crc32c(&zeroed, sizeof(zeroed));
 }
 
 bool CheckCsrCacheBytes(const void* data, std::size_t size,
@@ -82,8 +72,8 @@ bool CheckCsrCacheBytes(const void* data, std::size_t size,
   const auto* payload =
       static_cast<const unsigned char*>(data) + sizeof(CsrCacheHeader);
   const std::uint64_t checksum =
-      Fnv1a64(payload, size - sizeof(CsrCacheHeader),
-              CsrCacheHeaderBasis(*header));
+      Crc32c(payload, size - sizeof(CsrCacheHeader),
+             CsrCacheHeaderBasis(*header));
   if (checksum != header->payload_checksum) {
     return Invalid(error, path, "payload checksum mismatch -- corrupt cache");
   }
@@ -114,12 +104,12 @@ bool SaveCsrCache(const graph::Csr& csr, const std::string& path,
   // layout comment in the header); the checksum covers the pad too.
   std::string padded_name = csr.name();
   padded_name.resize(CsrCachePaddedNameLength(padded_name.size()), '\0');
-  std::uint64_t checksum = Fnv1a64(padded_name.data(), padded_name.size(),
-                                   CsrCacheHeaderBasis(header));
-  checksum = Fnv1a64(offsets.data(), offsets.size() * sizeof(EdgeIndex),
-                     checksum);
-  checksum = Fnv1a64(neighbors.data(), neighbors.size() * sizeof(VertexId),
-                     checksum);
+  std::uint32_t checksum = Crc32c(padded_name.data(), padded_name.size(),
+                                  CsrCacheHeaderBasis(header));
+  checksum =
+      Crc32c(offsets.data(), offsets.size() * sizeof(EdgeIndex), checksum);
+  checksum =
+      Crc32c(neighbors.data(), neighbors.size() * sizeof(VertexId), checksum);
   header.payload_checksum = checksum;
 
   // Pid-suffixed temp name: concurrent processes ingesting the same

@@ -3,23 +3,26 @@
 //
 // File layout (little-endian, the only byte order this repo targets):
 //
-//   CsrCacheHeader   56 bytes: magic 'EMGC', format version, flags
-//                    (bit 0 = directed), edge_elem_bytes, vertex/edge
-//                    counts, source signature, FNV-1a payload checksum
+//   CsrCacheHeader   56 bytes: magic 'EMGC', format version (3),
+//                    flags (bit 0 = directed), edge_elem_bytes,
+//                    vertex/edge counts, source signature, and the
+//                    payload checksum: a CRC-32C (io/crc32c.h) stored
+//                    zero-extended in a u64
 //   name             name_length bytes (graph name, no terminator),
 //                    zero-padded to the next 8-byte boundary so the
 //                    arrays that follow are naturally aligned -- the
 //                    paged loader (io/paged_csr.h) points traversal
 //                    directly into the mapping, which requires aligned
-//                    u64/u32 access (format v2; v1 files, unpadded, are
-//                    rejected by the version check and re-ingested)
+//                    u64/u32 access
 //   offsets          (vertex_count + 1) * 8 bytes, 8-byte aligned
 //   neighbors        edge_count * 4 bytes, 4-byte aligned
 //
 // The checksum covers the header itself (with the checksum field
-// zeroed) plus everything after it, so truncation and bit rot -- in the
-// arrays or in the header's own flags/counts -- are both detected; a
-// version bump invalidates old files wholesale.
+// zeroed) plus everything after it, in file order, so truncation and
+// bit rot -- in the arrays or in the header's own flags/counts -- are
+// both detected. A version bump invalidates old files wholesale: v1
+// (unpadded name) and v2 (FNV-1a 64 checksum) files are refused by the
+// version check and re-ingested.
 // `source_signature` ties a cache file to the edge list it was built
 // from (callers use the source file size) so a changed input re-ingests
 // instead of serving a stale graph. Loads never trust a bad file: any
@@ -36,7 +39,7 @@
 namespace emogi::io {
 
 constexpr std::uint32_t kCsrCacheMagic = 0x43474D45u;  // "EMGC" on disk.
-constexpr std::uint32_t kCsrCacheVersion = 2;
+constexpr std::uint32_t kCsrCacheVersion = 3;
 constexpr std::uint32_t kCsrCacheDirectedFlag = 1u << 0;
 
 struct CsrCacheHeader {
@@ -66,16 +69,12 @@ enum class CacheLoadResult {
              // different format version; `error` says which.
 };
 
-// Chainable FNV-1a 64 (pass the previous return as `basis` to extend).
-std::uint64_t Fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t basis = 0xCBF29CE484222325ull);
-
-// The checksum basis covering the header itself (checksum field
-// zeroed); chain the name/pad, offset, and neighbor bytes onto it, in
-// file order, to reproduce `payload_checksum`. Exposed so the
+// The CRC-32C of the header itself (checksum field zeroed); chain the
+// name/pad, offset, and neighbor bytes onto it with io::Crc32c, in file
+// order, to reproduce `payload_checksum`. Exposed so the
 // external-memory builder (io/em_builder.cc) can stream-write files
 // byte-identical to SaveCsrCache's.
-std::uint64_t CsrCacheHeaderBasis(const CsrCacheHeader& header);
+std::uint32_t CsrCacheHeaderBasis(const CsrCacheHeader& header);
 
 // Validates raw cache-file bytes: header sanity, exact size arithmetic,
 // payload checksum, and (when nonzero) the source signature. On success

@@ -287,8 +287,8 @@ bool StreamContainer(const std::string& path, bool directed,
   return ok;
 }
 
-// Sorts, dedups, and (for undirected graphs) mirrors the accumulated
-// arc set, then lays it out as a CSR -- the shared tail of every
+// Lays the accumulated arc set out as a CSR -- mirrored for undirected
+// graphs, each list sorted and deduplicated -- the shared tail of every
 // in-memory parse.
 bool BuildCsrFromArcs(std::vector<std::uint64_t>& edges, bool directed,
                       std::uint64_t max_id, std::uint64_t total_lines,
@@ -301,29 +301,32 @@ bool BuildCsrFromArcs(std::vector<std::uint64_t>& edges, bool directed,
     }
     return false;
   }
-  std::sort(edges.begin(), edges.end());
-  const std::size_t before = edges.size();
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  *duplicate_edges = before - edges.size();
-
-  if (!directed) {
-    const std::size_t half = edges.size();
-    edges.reserve(2 * half);
-    for (std::size_t i = 0; i < half; ++i) {
-      const std::uint64_t e = edges[i];
-      edges.push_back((e << 32) | (e >> 32));
-    }
-    std::sort(edges.begin(), edges.end());
-  }
-
   const auto v_count = static_cast<std::size_t>(max_id + 1);
+  // offsets[v + 1] counts v's arcs, then serves as v's write cursor.
   std::vector<EdgeIndex> offsets(v_count + 1, 0);
-  for (const std::uint64_t e : edges) ++offsets[(e >> 32) + 1];
-  for (std::size_t v = 0; v < v_count; ++v) offsets[v + 1] += offsets[v];
-  std::vector<VertexId> neighbors(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    neighbors[i] = static_cast<VertexId>(edges[i] & 0xFFFFFFFFull);
+  for (const std::uint64_t e : edges) {
+    ++offsets[(e >> 32) + 1];
+    if (!directed) ++offsets[(e & 0xFFFFFFFFull) + 1];
   }
+  const std::uint64_t arcs = CountsToCursors(offsets.data() + 1, v_count);
+  std::vector<VertexId> neighbors(arcs);
+  for (const std::uint64_t e : edges) {
+    const auto src = static_cast<VertexId>(e >> 32);
+    const auto dst = static_cast<VertexId>(e);
+    neighbors[offsets[src + 1]++] = dst;
+    if (!directed) neighbors[offsets[dst + 1]++] = src;
+  }
+  edges = std::vector<std::uint64_t>();
+  const std::uint64_t kept =
+      AssembleAdjacencyLists(neighbors.data(), offsets.data() + 1, v_count);
+  // Mirror arcs duplicate in lockstep with their canonical arcs, so the
+  // undirected count halves back to canonical pairs.
+  *duplicate_edges = directed ? arcs - kept : (arcs - kept) / 2;
+  if (kept < arcs) {
+    neighbors.resize(kept);
+    neighbors.shrink_to_fit();
+  }
+  for (std::size_t v = 0; v < v_count; ++v) offsets[v + 1] += offsets[v];
   *out = graph::Csr(std::move(offsets), std::move(neighbors), directed, name);
   return true;
 }
@@ -384,6 +387,36 @@ bool StreamEdgeContainer(const std::string& path, bool directed,
                          std::string* error, std::size_t chunk_size) {
   return StreamContainer(path, directed, arc, stats, max_id, error,
                          chunk_size);
+}
+
+std::uint64_t CountsToCursors(EdgeIndex* counts, std::size_t count) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const EdgeIndex n = counts[i];
+    counts[i] = total;
+    total += n;
+  }
+  return total;
+}
+
+std::uint64_t AssembleAdjacencyLists(VertexId* lists, EdgeIndex* ends,
+                                     std::size_t count) {
+  EdgeIndex begin = 0;
+  EdgeIndex packed = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    VertexId* const first = lists + begin;
+    VertexId* last = lists + ends[i];
+    begin = ends[i];
+    if (last - first > 1) {
+      std::sort(first, last);
+      last = std::unique(first, last);
+    }
+    const auto degree = static_cast<EdgeIndex>(last - first);
+    if (lists + packed != first) std::copy(first, last, lists + packed);
+    packed += degree;
+    ends[i] = degree;
+  }
+  return packed;
 }
 
 bool WriteEdgeBin(const graph::Csr& csr, const std::string& path,

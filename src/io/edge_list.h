@@ -14,6 +14,9 @@
 //   * StreamEdgeContainer hands each accepted arc to a callback, so the
 //     external-memory builder (io/em_builder.h) can ingest containers
 //     far larger than RAM without ever holding the edge set resident.
+// Both builders then lay out adjacency lists the same way, per source
+// bucket (CountsToCursors + AssembleAdjacencyLists below), so they
+// produce the same CSR by construction.
 
 #ifndef EMOGI_IO_EDGE_LIST_H_
 #define EMOGI_IO_EDGE_LIST_H_
@@ -87,12 +90,25 @@ bool ParseEdgeListFile(const std::string& path, bool directed,
 // has everything except duplicate_edges, which only a dedup pass can
 // know. The callback returns false to abort the walk (the stream then
 // returns false with `error` untouched by this layer). This is the
-// constant-memory walk the external-memory builder runs twice.
+// constant-memory walk the external-memory builder runs once.
 bool StreamEdgeContainer(const std::string& path, bool directed,
                          const std::function<bool(std::uint64_t)>& arc,
                          EdgeListStats* stats, std::uint64_t* max_id,
                          std::string* error,
                          std::size_t chunk_size = std::size_t{1} << 20);
+
+// Per-source bucket assembly, the shared tail of both CSR builders.
+// CountsToCursors turns `count` per-source arc counts into
+// exclusive-prefix write cursors in place and returns their total;
+// scattering each arc's destination to lists[cursor[src]++] then leaves
+// source i's list at [ends[i-1], ends[i]) (ends[-1] read as 0), with
+// `ends` the same array. AssembleAdjacencyLists sorts and deduplicates
+// every such list, packs the lists to the front of `lists`, overwrites
+// ends[i] with source i's final degree, and returns the packed length.
+std::uint64_t CountsToCursors(graph::EdgeIndex* counts, std::size_t count);
+std::uint64_t AssembleAdjacencyLists(graph::VertexId* lists,
+                                     graph::EdgeIndex* ends,
+                                     std::size_t count);
 
 // Dumps every arc of `csr` as a packed pair container at `path` (a
 // fixture/export helper; ingesting the result reproduces `csr` exactly,

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/crc32c.h"
 #include "io/csr_cache.h"
 
 namespace emogi::io {
@@ -16,40 +17,115 @@ namespace {
 using graph::EdgeIndex;
 using graph::VertexId;
 
+// A spilled arc is packed (src << 32) | dst; a resident list entry is
+// only its destination.
 constexpr std::uint64_t kArcBytes = sizeof(std::uint64_t);
+constexpr std::uint64_t kListBytes = sizeof(VertexId);
+// Cap on each stream buffer: a large budget need not mean large I/O
+// buffers.
+constexpr std::uint64_t kMaxStreamBytes = std::uint64_t{1} << 20;
 
-class ScopeGuard {
+// A spill file of packed arcs written through a bounded buffer. stdio
+// buffering is off (_IONBF) so the accounted buffer is the only
+// buffering. The file is removed when the object dies, so every exit
+// path -- success included -- leaves no spill behind.
+class SpillFile {
  public:
-  explicit ScopeGuard(std::function<void()> fn) : fn_(std::move(fn)) {}
-  ~ScopeGuard() {
-    if (fn_) fn_();
+  SpillFile() = default;
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+  ~SpillFile() { Remove(); }
+
+  bool Open(std::string path, std::uint64_t buffer_arcs, std::string* error) {
+    file_ = std::fopen(path.c_str(), "wb");
+    if (file_ == nullptr) {
+      if (error) *error = "cannot create spill file '" + path + "'";
+      return false;
+    }
+    path_ = std::move(path);
+    std::setvbuf(file_, nullptr, _IONBF, 0);
+    limit_ = static_cast<std::size_t>(buffer_arcs);
+    buffer_.reserve(limit_);
+    return true;
   }
-  ScopeGuard(const ScopeGuard&) = delete;
-  ScopeGuard& operator=(const ScopeGuard&) = delete;
+
+  bool Append(std::uint64_t arc, std::string* error) {
+    buffer_.push_back(arc);
+    return buffer_.size() < limit_ || Flush(error);
+  }
+
+  // Flushes and closes the file (it stays on disk until Remove).
+  bool Close(std::string* error) {
+    bool ok = Flush(error);
+    if (std::fclose(file_) != 0 && ok) {
+      ok = false;
+      if (error) *error = "spill write failed for '" + path_ + "'";
+    }
+    file_ = nullptr;
+    buffer_ = std::vector<std::uint64_t>();
+    return ok;
+  }
+
+  void Remove() {
+    if (file_ != nullptr) std::fclose(file_);
+    file_ = nullptr;
+    if (!path_.empty()) std::remove(path_.c_str());
+    path_.clear();
+  }
+
+  const std::string& path() const { return path_; }
+  std::uint64_t arcs() const { return bytes_ / kArcBytes; }
+  std::uint64_t bytes() const { return bytes_; }
 
  private:
-  std::function<void()> fn_;
+  bool Flush(std::string* error) {
+    if (buffer_.empty()) return true;
+    if (std::fwrite(buffer_.data(), kArcBytes, buffer_.size(), file_) !=
+        buffer_.size()) {
+      if (error) *error = "spill write failed for '" + path_ + "'";
+      return false;
+    }
+    bytes_ += buffer_.size() * kArcBytes;
+    buffer_.clear();
+    return true;
+  }
+
+  std::string path_;
+  std::FILE* file_ = nullptr;
+  std::vector<std::uint64_t> buffer_;
+  std::size_t limit_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
-// One chunk's spill file plus its bounded write buffer. stdio buffering
-// is off (_IONBF) so the accounted buffer is the only buffering.
-struct ChunkSpill {
-  std::string path;
-  std::FILE* file = nullptr;
-  std::vector<std::uint64_t> buffer;
-  std::uint64_t bytes = 0;
-};
-
-bool FlushSpill(ChunkSpill* spill, std::string* error) {
-  if (spill->buffer.empty()) return true;
-  if (std::fwrite(spill->buffer.data(), kArcBytes, spill->buffer.size(),
-                  spill->file) != spill->buffer.size()) {
-    if (error) *error = "spill write failed for '" + spill->path + "'";
+// Reads the `expected` arcs of the spill at `path` through `buffer` (its
+// size bounds each read) and hands each to `fn`, which returns false to
+// abort. A spill holding any other arc count is an error.
+template <typename Fn>
+bool ForEachSpilledArc(const std::string& path, std::uint64_t expected,
+                       std::vector<std::uint64_t>& buffer, Fn&& fn,
+                       std::string* error) {
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) {
+    if (error) *error = "cannot read spill file '" + path + "'";
     return false;
   }
-  spill->bytes += spill->buffer.size() * kArcBytes;
-  spill->buffer.clear();
-  return true;
+  std::setvbuf(in, nullptr, _IONBF, 0);
+  std::uint64_t seen = 0;
+  bool ok = true;
+  std::size_t n = 0;
+  while (ok && (n = std::fread(buffer.data(), kArcBytes, buffer.size(), in)) >
+                   0) {
+    seen += n;
+    if (seen > expected) break;
+    for (std::size_t i = 0; ok && i < n; ++i) ok = fn(buffer[i]);
+  }
+  const bool read_ok = std::ferror(in) == 0 && seen == expected;
+  std::fclose(in);
+  if (ok && !read_ok && error) {
+    *error = "spill file '" + path + "' holds " + std::to_string(seen) +
+             "+ arcs, expected " + std::to_string(expected);
+  }
+  return ok && read_ok;
 }
 
 }  // namespace
@@ -66,29 +142,48 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
   if (memory_budget < 2 * kArcBytes) {
     if (error) {
       *error = "memory budget of " + std::to_string(memory_budget) +
-               " bytes cannot hold even one arc per pass half; set "
+               " bytes cannot hold even one arc per budget half; set "
                "EMOGI_MEMORY_BUDGET to at least 16";
     }
     return false;
   }
+  const std::string pid_suffix = std::to_string(static_cast<long>(::getpid()));
+  // Every stream buffer (raw spill writes, spill reads, the checksum
+  // read-back) fits half the budget; the other half holds either the
+  // split's write buffers or the resident chunk's lists.
+  const std::uint64_t stream_arcs =
+      std::min(memory_budget / 2, kMaxStreamBytes) / kArcBytes;
+  const std::uint64_t stream_bytes = stream_arcs * kArcBytes;
 
-  // ---- Pass 1: provisional per-source arc counts (see header). ----
-  std::vector<std::uint64_t> provisional;
-  const std::function<bool(std::uint64_t)> count_arc =
-      [&provisional, directed](std::uint64_t arc) {
-        const auto src = static_cast<VertexId>(arc >> 32);
-        const auto dst = static_cast<VertexId>(arc);
-        const VertexId hi = src > dst ? src : dst;
-        if (hi >= provisional.size()) provisional.resize(hi + 1, 0);
-        ++provisional[src];
-        if (!directed) ++provisional[dst];
-        return true;
-      };
-  std::uint64_t max_id = 0;
-  if (!StreamEdgeContainer(container_path, directed, count_arc, &rep->stats,
-                           &max_id, error)) {
+  // ---- Pass 1, the only parse: provisional counts + the raw spill. ----
+  // offsets[v + 1] is v's provisional arc count (mirror arcs included),
+  // later its write cursor, its final degree, and finally the CSR
+  // offset array itself.
+  std::vector<EdgeIndex> offsets(1, 0);
+  SpillFile raw;
+  if (!raw.Open(cache_path + ".raw." + pid_suffix, stream_arcs, error)) {
     return false;
   }
+  rep->peak_resident_bytes = stream_bytes;
+  std::string spill_error;
+  const std::function<bool(std::uint64_t)> take_arc =
+      [&offsets, &raw, &spill_error, directed](std::uint64_t arc) {
+        const auto src = static_cast<VertexId>(arc >> 32);
+        const auto dst = static_cast<VertexId>(arc);
+        const std::size_t need = std::size_t{std::max(src, dst)} + 2;
+        if (need > offsets.size()) offsets.resize(need, 0);
+        ++offsets[src + 1];
+        if (!directed) ++offsets[std::size_t{dst} + 1];
+        return raw.Append(arc, &spill_error);
+      };
+  std::uint64_t max_id = 0;
+  std::string parse_error;
+  if (!StreamEdgeContainer(container_path, directed, take_arc, &rep->stats,
+                           &max_id, &parse_error)) {
+    if (error) *error = spill_error.empty() ? parse_error : spill_error;
+    return false;
+  }
+  if (!raw.Close(error)) return false;
   if (rep->stats.accepted_edges == 0) {
     if (error) {
       *error = container_path + ": no edges found (" +
@@ -98,22 +193,23 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
     return false;
   }
   rep->edges_streamed = rep->stats.accepted_edges;
+  rep->spill_bytes = raw.bytes();
   const std::uint64_t vertex_count = max_id + 1;
-  provisional.resize(vertex_count, 0);
+  offsets.resize(vertex_count + 1, 0);
 
   // ---- Partition vertices into contiguous chunks of <= budget/2. ----
   const std::uint64_t chunk_capacity = memory_budget / 2;
   std::vector<std::uint64_t> chunk_begin{0};
   std::uint64_t running_bytes = 0;
   for (std::uint64_t v = 0; v < vertex_count; ++v) {
-    const std::uint64_t bytes = provisional[v] * kArcBytes;
+    const std::uint64_t bytes = offsets[v + 1] * kListBytes;
     if (bytes > chunk_capacity) {
       if (error) {
         *error = "memory budget " + std::to_string(memory_budget) +
                  " is smaller than one chunk: vertex " + std::to_string(v) +
                  " alone carries " + std::to_string(bytes) +
-                 " bytes of arcs, and a resident chunk may only use half "
-                 "the budget; set EMOGI_MEMORY_BUDGET to at least " +
+                 " bytes of adjacency list, and a resident chunk may only "
+                 "use half the budget; set EMOGI_MEMORY_BUDGET to at least " +
                  std::to_string(2 * bytes);
       }
       return false;
@@ -128,178 +224,151 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
   const std::size_t num_chunks = chunk_begin.size() - 1;
   rep->chunks = num_chunks;
 
-  std::vector<std::uint32_t> chunk_of(vertex_count);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    for (std::uint64_t v = chunk_begin[c]; v < chunk_begin[c + 1]; ++v) {
-      chunk_of[v] = static_cast<std::uint32_t>(c);
-    }
-  }
-  provisional = std::vector<std::uint64_t>();
-
-  // ---- Pass 2: spill arcs per chunk through bounded buffers. ----
-  const std::string pid_suffix = std::to_string(static_cast<long>(::getpid()));
-  std::uint64_t buffer_arcs = std::max<std::uint64_t>(
-      1, chunk_capacity / num_chunks / kArcBytes);
-  buffer_arcs = std::min<std::uint64_t>(buffer_arcs, (1u << 20) / kArcBytes);
-
-  std::vector<ChunkSpill> spills(num_chunks);
-  ScopeGuard spill_cleanup([&spills] {
-    for (ChunkSpill& s : spills) {
-      if (s.file != nullptr) std::fclose(s.file);
-      if (!s.path.empty()) std::remove(s.path.c_str());
-    }
-  });
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::string path =
-        cache_path + ".spill." + std::to_string(c) + "." + pid_suffix;
-    spills[c].file = std::fopen(path.c_str(), "wb");
-    if (spills[c].file == nullptr) {
-      if (error) *error = "cannot create spill file '" + path + "'";
+  // ---- Split: several chunks each get their own spill, by binary reads
+  // of the raw spill (mirror arcs materialize here). One chunk reads the
+  // raw spill directly. ----
+  std::vector<std::uint64_t> stream_buffer(
+      static_cast<std::size_t>(stream_arcs));
+  std::vector<SpillFile> spills(num_chunks > 1 ? num_chunks : 0);
+  if (num_chunks > 1) {
+    const std::uint64_t write_arcs =
+        std::min(memory_budget / 2 / num_chunks, kMaxStreamBytes) / kArcBytes;
+    if (write_arcs == 0) {
+      if (error) {
+        *error = "memory budget " + std::to_string(memory_budget) +
+                 " cannot buffer one arc for each of " +
+                 std::to_string(num_chunks) +
+                 " chunk spills in half the budget; set EMOGI_MEMORY_BUDGET "
+                 "to at least " +
+                 std::to_string(2 * kArcBytes * num_chunks);
+      }
       return false;
     }
-    spills[c].path = path;
-    std::setvbuf(spills[c].file, nullptr, _IONBF, 0);
-    spills[c].buffer.reserve(static_cast<std::size_t>(buffer_arcs));
-  }
-  rep->peak_resident_bytes = std::max(rep->peak_resident_bytes,
-                                      num_chunks * buffer_arcs * kArcBytes);
-
-  std::string spill_error;
-  auto emit = [&](std::uint64_t packed) {
-    const auto src = static_cast<VertexId>(packed >> 32);
-    if (src >= vertex_count) {
-      spill_error = container_path + ": container changed between "
-                    "ingestion passes";
-      return false;
-    }
-    ChunkSpill& s = spills[chunk_of[src]];
-    s.buffer.push_back(packed);
-    if (s.buffer.size() >= buffer_arcs) return FlushSpill(&s, &spill_error);
-    return true;
-  };
-  const std::function<bool(std::uint64_t)> spill_arc =
-      [&emit, directed](std::uint64_t arc) {
-        if (!emit(arc)) return false;
-        // Undirected arcs arrive canonicalized (src < dst, self-loops
-        // already dropped); the mirror arc is materialized here, before
-        // dedup, which removes duplicates identically either way.
-        if (!directed) return emit((arc << 32) | (arc >> 32));
-        return true;
-      };
-  EdgeListStats second_stats;
-  std::uint64_t second_max = 0;
-  std::string second_error;
-  if (!StreamEdgeContainer(container_path, directed, spill_arc, &second_stats,
-                           &second_max, &second_error)) {
-    if (error) *error = spill_error.empty() ? second_error : spill_error;
-    return false;
-  }
-  if (second_stats.accepted_edges != rep->stats.accepted_edges) {
-    if (error) {
-      *error = container_path + ": container changed between ingestion passes";
-    }
-    return false;
-  }
-  for (ChunkSpill& s : spills) {
-    if (!FlushSpill(&s, &spill_error)) {
-      if (error) *error = spill_error;
-      return false;
-    }
-    const bool closed = std::fclose(s.file) == 0;
-    s.file = nullptr;
-    if (!closed) {
-      if (error) *error = "spill write failed for '" + s.path + "'";
-      return false;
-    }
-    rep->spill_bytes += s.bytes;
-    s.buffer = std::vector<std::uint64_t>();
-  }
-
-  // ---- Pass 3: per-chunk sort + dedup, neighbors to the part file. ----
-  const std::string part_path = cache_path + ".part." + pid_suffix;
-  std::FILE* part = std::fopen(part_path.c_str(), "wb");
-  if (part == nullptr) {
-    if (error) *error = "cannot create part file '" + part_path + "'";
-    return false;
-  }
-  std::setvbuf(part, nullptr, _IONBF, 0);
-  ScopeGuard part_cleanup([&part, &part_path] {
-    if (part != nullptr) std::fclose(part);
-    std::remove(part_path.c_str());
-  });
-
-  const auto copy_buffer_bytes = static_cast<std::size_t>(
-      std::min<std::uint64_t>(std::uint64_t{1} << 18,
-                              std::max<std::uint64_t>(kArcBytes,
-                                                      memory_budget / 4)));
-  std::vector<VertexId> part_buffer;
-  part_buffer.reserve(copy_buffer_bytes / sizeof(VertexId));
-  auto flush_part = [&part, &part_buffer]() {
-    if (part_buffer.empty()) return true;
-    const bool ok = std::fwrite(part_buffer.data(), sizeof(VertexId),
-                                part_buffer.size(),
-                                part) == part_buffer.size();
-    part_buffer.clear();
-    return ok;
-  };
-
-  std::vector<EdgeIndex> offsets(vertex_count + 1, 0);  // Degrees first.
-  std::vector<std::uint64_t> arcs;
-  std::uint64_t duplicates_removed = 0;
-  std::uint64_t edge_count = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    ChunkSpill& s = spills[c];
-    const auto arc_count = static_cast<std::size_t>(s.bytes / kArcBytes);
-    // Exact-fit reallocation: resize()'s geometric growth could
-    // overshoot the chunk capacity the partition guaranteed.
-    if (arcs.capacity() < arc_count) {
-      arcs = std::vector<std::uint64_t>();
-      arcs.reserve(arc_count);
-    }
-    arcs.resize(arc_count);
-    if (arc_count > 0) {
-      std::FILE* in = std::fopen(s.path.c_str(), "rb");
-      const bool read_ok =
-          in != nullptr &&
-          std::fread(arcs.data(), kArcBytes, arc_count, in) == arc_count;
-      if (in != nullptr) std::fclose(in);
-      if (!read_ok) {
-        if (error) *error = "cannot read spill file '" + s.path + "'";
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      if (!spills[c].Open(cache_path + ".spill." + std::to_string(c) + "." +
+                              pid_suffix,
+                          write_arcs, error)) {
         return false;
       }
     }
-    std::remove(s.path.c_str());
-    s.path.clear();
     rep->peak_resident_bytes =
         std::max(rep->peak_resident_bytes,
-                 arcs.capacity() * kArcBytes + copy_buffer_bytes);
-
-    // Chunks are contiguous source ranges and packed arcs sort
-    // source-major, so per-chunk sorted runs concatenate into the same
-    // global order the in-memory builder produces.
-    std::sort(arcs.begin(), arcs.end());
-    const auto unique_end = std::unique(arcs.begin(), arcs.end());
-    duplicates_removed += static_cast<std::uint64_t>(arcs.end() - unique_end);
-    edge_count += static_cast<std::uint64_t>(unique_end - arcs.begin());
-    for (auto it = arcs.begin(); it != unique_end; ++it) {
-      ++offsets[(*it >> 32) + 1];
-      part_buffer.push_back(static_cast<VertexId>(*it));
-      if (part_buffer.size() * sizeof(VertexId) >= copy_buffer_bytes &&
-          !flush_part()) {
-        if (error) *error = "part write failed for '" + part_path + "'";
-        return false;
-      }
+                 stream_bytes + num_chunks * write_arcs * kArcBytes);
+    auto spill_of = [&](VertexId v) -> SpillFile& {
+      const auto it =
+          std::upper_bound(chunk_begin.begin(), chunk_begin.end(), v);
+      return spills[static_cast<std::size_t>(it - chunk_begin.begin()) - 1];
+    };
+    std::string read_error;
+    const bool split = ForEachSpilledArc(
+        raw.path(), raw.arcs(), stream_buffer,
+        [&](std::uint64_t arc) {
+          if (!spill_of(static_cast<VertexId>(arc >> 32))
+                   .Append(arc, &spill_error)) {
+            return false;
+          }
+          // Undirected arcs arrive canonicalized (src < dst); the mirror
+          // arc goes to its own source's chunk.
+          return directed ||
+                 spill_of(static_cast<VertexId>(arc))
+                     .Append((arc << 32) | (arc >> 32), &spill_error);
+        },
+        &read_error);
+    if (!split) {
+      if (error) *error = spill_error.empty() ? read_error : spill_error;
+      return false;
     }
+    for (SpillFile& spill : spills) {
+      if (!spill.Close(error)) return false;
+      rep->spill_bytes += spill.bytes();
+    }
+    raw.Remove();
   }
-  const bool part_flushed = flush_part();
-  const bool part_closed = std::fclose(part) == 0;
-  part = nullptr;
-  if (!part_flushed || !part_closed) {
-    if (error) *error = "part write failed for '" + part_path + "'";
+
+  // ---- Per chunk: scatter destinations into per-source buckets, sort
+  // and dedup each list, write the lists straight to their place in the
+  // cache file (the offsets and header follow once degrees are known). --
+  std::string padded_name = name;
+  padded_name.resize(CsrCachePaddedNameLength(padded_name.size()), '\0');
+  const std::uint64_t neighbors_pos = sizeof(CsrCacheHeader) +
+                                      padded_name.size() +
+                                      (vertex_count + 1) * sizeof(EdgeIndex);
+  const std::string tmp_path = cache_path + ".emtmp." + pid_suffix;
+  std::FILE* out = std::fopen(tmp_path.c_str(), "w+b");
+  if (out == nullptr) {
+    if (error) *error = "cannot create '" + tmp_path + "'";
     return false;
   }
-  arcs = std::vector<std::uint64_t>();
-  part_buffer = std::vector<VertexId>();
+  std::setvbuf(out, nullptr, _IONBF, 0);
+  bool out_open = true;
+  auto fail_out = [&](const std::string& what) {
+    if (out_open) std::fclose(out);
+    out_open = false;
+    std::remove(tmp_path.c_str());
+    if (error) *error = what;
+    return false;
+  };
+  if (::fseeko(out, static_cast<off_t>(neighbors_pos), SEEK_SET) != 0) {
+    return fail_out("cannot seek in '" + tmp_path + "'");
+  }
+
+  std::vector<VertexId> lists;
+  std::uint64_t duplicates_removed = 0;
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    const std::uint64_t first = chunk_begin[c];
+    const auto count = static_cast<std::size_t>(chunk_begin[c + 1] - first);
+    EdgeIndex* const cursors = offsets.data() + first + 1;
+    const std::uint64_t arcs = CountsToCursors(cursors, count);
+    // Exact-fit reallocation: resize()'s geometric growth could
+    // overshoot the chunk capacity the partition guaranteed.
+    if (lists.capacity() < arcs) {
+      lists = std::vector<VertexId>();
+      lists.reserve(static_cast<std::size_t>(arcs));
+    }
+    lists.resize(static_cast<std::size_t>(arcs));
+    rep->peak_resident_bytes =
+        std::max(rep->peak_resident_bytes,
+                 lists.capacity() * kListBytes + stream_bytes);
+
+    // Cursors are chunk-relative: the chunk's first vertex's list
+    // starts at lists[0]. v's cursor is offsets[v + 1].
+    EdgeIndex* const cursor = offsets.data() + 1;
+    std::string read_error = "spill arc count mismatch for '" + cache_path +
+                             "'";
+    bool scattered = false;
+    if (num_chunks == 1) {
+      scattered = raw.arcs() * (directed ? 1 : 2) == arcs &&
+                  ForEachSpilledArc(
+                      raw.path(), raw.arcs(), stream_buffer,
+                      [&](std::uint64_t arc) {
+                        const auto src = static_cast<VertexId>(arc >> 32);
+                        const auto dst = static_cast<VertexId>(arc);
+                        lists[cursor[src]++] = dst;
+                        if (!directed) lists[cursor[dst]++] = src;
+                        return true;
+                      },
+                      &read_error);
+      raw.Remove();
+    } else {
+      scattered = ForEachSpilledArc(
+          spills[c].path(), arcs, stream_buffer,
+          [&](std::uint64_t arc) {
+            lists[cursor[arc >> 32]++] = static_cast<VertexId>(arc);
+            return true;
+          },
+          &read_error);
+      spills[c].Remove();
+    }
+    if (!scattered) return fail_out(read_error);
+
+    const std::uint64_t kept =
+        AssembleAdjacencyLists(lists.data(), cursors, count);
+    duplicates_removed += arcs - kept;
+    if (kept > 0 && std::fwrite(lists.data(), kListBytes, kept, out) != kept) {
+      return fail_out("write failed for '" + tmp_path + "'");
+    }
+  }
+  lists = std::vector<VertexId>();
   // Mirror arcs duplicate in lockstep with their canonical arcs, so the
   // undirected count halves back to the in-memory definition.
   rep->stats.duplicate_edges =
@@ -307,8 +376,9 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
   for (std::uint64_t v = 0; v < vertex_count; ++v) {
     offsets[v + 1] += offsets[v];
   }
+  const std::uint64_t edge_count = offsets[vertex_count];
 
-  // ---- Assemble the cache file, byte-identical to SaveCsrCache. ----
+  // ---- Header + checksum, byte-identical to SaveCsrCache. ----
   CsrCacheHeader header;
   header.flags = directed ? kCsrCacheDirectedFlag : 0;
   header.edge_elem_bytes = 8;  // A freshly parsed Csr's default.
@@ -316,74 +386,40 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
   header.edge_count = edge_count;
   header.source_signature = source_signature;
   header.name_length = static_cast<std::uint32_t>(name.size());
-  std::string padded_name = name;
-  padded_name.resize(CsrCachePaddedNameLength(padded_name.size()), '\0');
-  std::uint64_t checksum = Fnv1a64(padded_name.data(), padded_name.size(),
-                                   CsrCacheHeaderBasis(header));
+  std::uint32_t checksum = Crc32c(padded_name.data(), padded_name.size(),
+                                  CsrCacheHeaderBasis(header));
   checksum =
-      Fnv1a64(offsets.data(), offsets.size() * sizeof(EdgeIndex), checksum);
-  // FNV chaining is order-dependent and the checksum lives in the
-  // header, so the part file is streamed twice: once to finish the
-  // checksum, once to copy the bytes after the header is written.
-  std::vector<unsigned char> copy_buffer(copy_buffer_bytes);
-  {
-    std::FILE* in = std::fopen(part_path.c_str(), "rb");
-    if (in == nullptr) {
-      if (error) *error = "cannot read part file '" + part_path + "'";
-      return false;
+      Crc32c(offsets.data(), offsets.size() * sizeof(EdgeIndex), checksum);
+  // The checksum runs in file order and the neighbors come last, so they
+  // are read back once to finish it.
+  if (::fseeko(out, static_cast<off_t>(neighbors_pos), SEEK_SET) != 0) {
+    return fail_out("cannot seek in '" + tmp_path + "'");
+  }
+  std::uint64_t remaining = edge_count * kListBytes;
+  while (remaining > 0) {
+    const auto want =
+        static_cast<std::size_t>(std::min(remaining, stream_bytes));
+    if (std::fread(stream_buffer.data(), 1, want, out) != want) {
+      return fail_out("cannot read back '" + tmp_path + "'");
     }
-    std::size_t n = 0;
-    while ((n = std::fread(copy_buffer.data(), 1, copy_buffer.size(), in)) >
-           0) {
-      checksum = Fnv1a64(copy_buffer.data(), n, checksum);
-    }
-    const bool read_ok = std::ferror(in) == 0;
-    std::fclose(in);
-    if (!read_ok) {
-      if (error) *error = "cannot read part file '" + part_path + "'";
-      return false;
-    }
+    checksum = Crc32c(stream_buffer.data(), want, checksum);
+    remaining -= want;
   }
   header.payload_checksum = checksum;
 
-  const std::string tmp_path = cache_path + ".emtmp." + pid_suffix;
-  ScopeGuard tmp_cleanup([&tmp_path] { std::remove(tmp_path.c_str()); });
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    if (error) *error = "cannot create '" + tmp_path + "'";
-    return false;
-  }
-  bool wrote =
+  const bool wrote =
+      ::fseeko(out, 0, SEEK_SET) == 0 &&
       std::fwrite(&header, sizeof(header), 1, out) == 1 &&
       (padded_name.empty() ||
        std::fwrite(padded_name.data(), padded_name.size(), 1, out) == 1) &&
       std::fwrite(offsets.data(), sizeof(EdgeIndex), offsets.size(), out) ==
           offsets.size();
-  if (wrote) {
-    std::FILE* in = std::fopen(part_path.c_str(), "rb");
-    if (in == nullptr) {
-      wrote = false;
-    } else {
-      std::size_t n = 0;
-      while ((n = std::fread(copy_buffer.data(), 1, copy_buffer.size(), in)) >
-             0) {
-        if (std::fwrite(copy_buffer.data(), 1, n, out) != n) {
-          wrote = false;
-          break;
-        }
-      }
-      if (std::ferror(in) != 0) wrote = false;
-      std::fclose(in);
-    }
-  }
-  const bool flushed = std::fclose(out) == 0;
-  if (!wrote || !flushed) {
-    if (error) *error = "write failed for '" + tmp_path + "'";
-    return false;
+  out_open = false;
+  if (std::fclose(out) != 0 || !wrote) {
+    return fail_out("write failed for '" + tmp_path + "'");
   }
   if (std::rename(tmp_path.c_str(), cache_path.c_str()) != 0) {
-    if (error) *error = "rename to '" + cache_path + "' failed";
-    return false;
+    return fail_out("rename to '" + cache_path + "' failed");
   }
   return true;
 }

@@ -4,34 +4,42 @@
 // file is byte-identical to what the in-memory path (ParseEdgeListFile
 // + SaveCsrCache) produces for the same container -- ctest gates this.
 //
-// Three passes over bounded memory:
+// One parse, then bounded binary passes over spill files:
 //
-//   1. Stream the container once, counting provisional arcs per source
-//      vertex (undirected inputs count both endpoints, i.e. mirrored at
-//      stream time). The counts over-estimate final degrees by exactly
-//      the not-yet-known duplicates, which is fine: they are only used
-//      as upper bounds to partition vertices into contiguous chunks
-//      whose arc bytes fit half the budget.
-//   2. Stream the container again, spilling each arc -- packed
-//      (src << 32) | dst, mirror arcs emitted here for undirected
-//      graphs -- to its chunk's spill file through bounded per-chunk
-//      write buffers (the other half of the budget).
-//   3. Load each chunk in turn (at most budget/2 resident), sort,
-//      deduplicate, count final degrees, and append the neighbor ids to
-//      a part file. Chunks are contiguous source ranges and packed arcs
-//      sort source-major, so the concatenation is globally sorted --
-//      identical to the in-memory sort. The header checksum is then
-//      chained over the part file and the whole cache is assembled via
-//      temp file + atomic rename, exactly like SaveCsrCache.
+//   1. Parse the container once. Each accepted arc (canonicalized,
+//      not yet mirrored) raises its source's provisional arc count --
+//      and, for undirected inputs, its destination's -- and is appended,
+//      packed (src << 32) | dst, to one raw spill file through a bounded
+//      buffer. The counts over-estimate final degrees by exactly the
+//      not-yet-known duplicates, which is fine: they are upper bounds
+//      used to partition vertices into contiguous chunks whose resident
+//      lists fit half the budget.
+//   2. With one chunk, the raw spill is that chunk's input and mirror
+//      arcs are generated as it is read. With several, the raw spill is
+//      split by binary reads into per-chunk spills through bounded
+//      per-chunk write buffers (mirror arcs are materialized here, into
+//      their own source's chunk) and then deleted.
+//   3. Per chunk, the provisional counts become write cursors, each
+//      arc's destination (4 bytes) is scattered into its source's
+//      bucket, and every list is sorted and deduplicated in place
+//      (io::AssembleAdjacencyLists, shared with the in-memory builder).
+//      The packed lists are written straight to their final place in a
+//      temp cache file; once every degree is known the offsets and the
+//      header follow. The CRC-32C checksum runs in file order, so the
+//      neighbor bytes are read back once to finish it, and the file
+//      appears via atomic rename, exactly like SaveCsrCache.
 //
-// Budget accounting covers edge data only: arc spill buffers, the
-// resident chunk, and the part-file copy buffers. O(V) bookkeeping
-// (degree counts, the offsets array, the chunk map) plus stream/
+// Budget accounting covers edge data only. Half the budget bounds every
+// stream buffer (raw spill writes, spill reads, the checksum read-back;
+// at most 1 MiB each); the other half bounds either the split's write
+// buffers or the resident chunk at 4 bytes per arc (mirror arcs and
+// not-yet-removed duplicates included). O(V) bookkeeping (the one
+// counts/cursors/offsets array, the chunk boundaries) plus stream/
 // decompressor state are exempt -- they are the same footprint the
 // fully in-memory path needs for its result and are documented as such
-// in the README. One open spill file per chunk is held during pass 2,
-// so pathological budget/input ratios are bounded by the fd limit
-// before anything else.
+// in the README. One open spill file per chunk is held during the
+// split, so pathological budget/input ratios are bounded by the fd
+// limit before anything else.
 
 #ifndef EMOGI_IO_EM_BUILDER_H_
 #define EMOGI_IO_EM_BUILDER_H_
@@ -46,12 +54,16 @@ namespace emogi::io {
 // What a chunked build did, for the ingest_throughput experiment and
 // for tests gating peak residency against the budget.
 struct EmBuildReport {
-  std::uint64_t edges_streamed = 0;       // Accepted arcs per pass
-                                          // (pre-dedup, pre-mirror).
+  std::uint64_t edges_streamed = 0;       // Accepted arcs of the one
+                                          // parse (pre-dedup,
+                                          // pre-mirror).
   std::uint64_t chunks = 0;               // Source-range chunks used.
   std::uint64_t peak_resident_bytes = 0;  // Max edge-data bytes held at
                                           // once; always <= budget.
-  std::uint64_t spill_bytes = 0;          // Total bytes spilled to disk.
+  std::uint64_t spill_bytes = 0;          // Total bytes spilled to disk:
+                                          // the raw spill, plus the
+                                          // per-chunk split when there
+                                          // are several chunks.
   EdgeListStats stats;                    // Full container stats,
                                           // including duplicate_edges.
 };
@@ -59,10 +71,11 @@ struct EmBuildReport {
 // Builds the CSR cache for `container_path` (text, ".gz", or ".bin" --
 // same resolution as ParseEdgeListFile) at `cache_path`, holding at
 // most `memory_budget` bytes of edge data resident. Returns false with
-// `error` when the container is malformed, a spill/part/cache write
-// fails, or the budget cannot hold even a single vertex's arcs (the
-// error says what budget would). Temp files are cleaned up on failure;
-// the cache file appears atomically on success.
+// `error` when the container is malformed, a spill/cache write fails,
+// or the budget cannot hold even a single vertex's list or one write
+// buffer per chunk (the error says what budget would). Temp files are
+// cleaned up on every exit; the cache file appears atomically on
+// success.
 bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
                            const std::string& name,
                            const std::string& cache_path,

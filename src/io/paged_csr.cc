@@ -30,7 +30,7 @@ bool OpenPagedCsr(const std::string& path, std::uint64_t expected_signature,
   const unsigned char* payload = view->data() + sizeof(header);
   std::string name(reinterpret_cast<const char*>(payload), header.name_length);
   payload += CsrCachePaddedNameLength(header.name_length);
-  // v2 pads the name so these casts land on 8-/4-byte boundaries; the
+  // The name is padded so these casts land on 8-/4-byte boundaries; the
   // version check above already rejected unpadded v1 files.
   const auto* offsets = reinterpret_cast<const EdgeIndex*>(payload);
   const auto* neighbors = reinterpret_cast<const VertexId*>(

@@ -1,8 +1,8 @@
 // Out-of-core CSR serving: maps a binary CSR cache file (io/csr_cache.h,
-// format v2) and hands traversal a graph::Csr *view* whose offset and
+// format v3) and hands traversal a graph::Csr *view* whose offset and
 // neighbor arrays point directly into the mapping -- no copy, so the
 // kernel pages neighbor lists in on demand and evicts them under memory
-// pressure. The v2 on-disk layout zero-pads the name section to an
+// pressure. The on-disk layout (since v2) zero-pads the name section to an
 // 8-byte boundary precisely so these in-place pointers are naturally
 // aligned.
 //

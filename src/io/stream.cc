@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -47,7 +49,10 @@ class FileStream final : public InputStream {
 
 // Streaming inflate over a gzip (or raw zlib) file: compressed bytes in
 // through a bounded buffer, decompressed bytes out per Read call.
-// windowBits 15+32 auto-detects the gzip wrapper.
+// windowBits 15+32 auto-detects the gzip wrapper. A gzip file may hold
+// several members back to back (`cat a.gz b.gz`, pigz, bgzip); like
+// gunzip, the stream is their concatenation. Bytes after a member that
+// do not start another one are an error, never silently dropped.
 class GzipStream final : public InputStream {
  public:
   GzipStream(std::FILE* file, std::string path)
@@ -76,19 +81,7 @@ class GzipStream final : public InputStream {
     stream_.next_out = static_cast<Bytef*>(buffer);
     stream_.avail_out = static_cast<uInt>(size);
     while (stream_.avail_out > 0) {
-      if (stream_.avail_in == 0 && !input_eof_) {
-        const std::size_t n =
-            std::fread(in_buffer_.data(), 1, in_buffer_.size(), file_);
-        if (n < in_buffer_.size()) {
-          if (std::ferror(file_)) {
-            if (error) *error = "read error on '" + path_ + "'";
-            return -1;
-          }
-          input_eof_ = true;
-        }
-        stream_.next_in = in_buffer_.data();
-        stream_.avail_in = static_cast<uInt>(n);
-      }
+      if (stream_.avail_in == 0 && !input_eof_ && !Refill(error)) return -1;
       if (stream_.avail_in == 0 && input_eof_) {
         // Compressed bytes ran out before the DEFLATE stream closed:
         // the file is truncated, not merely finished.
@@ -100,8 +93,18 @@ class GzipStream final : public InputStream {
       }
       const int rc = inflate(&stream_, Z_NO_FLUSH);
       if (rc == Z_STREAM_END) {
-        finished_ = true;
-        break;
+        ++members_;
+        const int next = NextMember(error);
+        if (next < 0) return -1;
+        if (next == 0) {
+          finished_ = true;
+          break;
+        }
+        if (inflateReset(&stream_) != Z_OK) {
+          if (error) *error = "zlib inflateReset failed for '" + path_ + "'";
+          return -1;
+        }
+        continue;
       }
       if (rc != Z_OK && rc != Z_BUF_ERROR) {
         if (error) {
@@ -116,6 +119,41 @@ class GzipStream final : public InputStream {
   }
 
  private:
+  // Moves the unread input to the front of the buffer and tops it up
+  // from the file.
+  bool Refill(std::string* error) {
+    const std::size_t kept = stream_.avail_in;
+    if (kept > 0) std::memmove(in_buffer_.data(), stream_.next_in, kept);
+    const std::size_t room = in_buffer_.size() - kept;
+    const std::size_t n = std::fread(in_buffer_.data() + kept, 1, room, file_);
+    if (n < room) {
+      if (std::ferror(file_)) {
+        if (error) *error = "read error on '" + path_ + "'";
+        return false;
+      }
+      input_eof_ = true;
+    }
+    stream_.next_in = in_buffer_.data();
+    stream_.avail_in = static_cast<uInt>(kept + n);
+    return true;
+  }
+
+  // After a member's end: 1 when another gzip member follows, 0 at the
+  // end of the file, -1 (with `error`) when other bytes follow.
+  int NextMember(std::string* error) {
+    if (stream_.avail_in < 2 && !input_eof_ && !Refill(error)) return -1;
+    if (stream_.avail_in == 0) return 0;
+    if (stream_.avail_in >= 2 && stream_.next_in[0] == 0x1f &&
+        stream_.next_in[1] == 0x8b) {
+      return 1;
+    }
+    if (error) {
+      *error = "'" + path_ + "': trailing garbage after gzip member " +
+               std::to_string(members_) + " (not another gzip member)";
+    }
+    return -1;
+  }
+
   std::FILE* file_;
   std::string path_;
   z_stream stream_{};
@@ -123,6 +161,7 @@ class GzipStream final : public InputStream {
   bool init_ok_ = false;
   bool input_eof_ = false;
   bool finished_ = false;
+  std::uint64_t members_ = 0;  // Members fully decoded so far.
 };
 
 #endif  // EMOGI_HAVE_ZLIB

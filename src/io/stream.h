@@ -40,8 +40,10 @@ std::unique_ptr<InputStream> OpenFileStream(const std::string& path,
 // configure time).
 bool GzipSupported();
 
-// Gzip-decoding stream over `path`. Returns nullptr with `error` when
-// the file cannot be opened or the build lacks zlib (the error says to
+// Gzip-decoding stream over `path`. Concatenated gzip members decode
+// as one stream, as gunzip reads them; anything else after a member is
+// a read error naming the file. Returns nullptr with `error` when the
+// file cannot be opened or the build lacks zlib (the error says to
 // decompress manually or rebuild with zlib).
 std::unique_ptr<InputStream> OpenGzipStream(const std::string& path,
                                             std::string* error);

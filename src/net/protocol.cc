@@ -1,12 +1,9 @@
 #include "net/protocol.h"
 
-#include <array>
 #include <cassert>
 #include <cstring>
 
-#if defined(__x86_64__)
-#include <nmmintrin.h>
-#endif
+#include "io/crc32c.h"
 
 namespace emogi::net {
 namespace {
@@ -64,7 +61,7 @@ class FrameWriter {
   std::vector<std::uint8_t> Finish() && {
     assert(pos_ == frame_.size());  // The stated body size was exact.
     const std::uint8_t* body = frame_.data() + kFrameHeaderBytes;
-    Store(frame_.data() + 12, Crc32c(body, pos_ - kFrameHeaderBytes));
+    Store(frame_.data() + 12, io::Crc32c(body, pos_ - kFrameHeaderBytes));
     return std::move(frame_);
   }
 
@@ -127,49 +124,6 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- CRC-32C ---------------------------------------------------------------
-
-constexpr std::uint32_t kCrc32cPolynomial = 0x82F63B78u;  // Reflected.
-
-constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c >> 1) ^ (kCrc32cPolynomial & (0u - (c & 1u)));
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-// Built at compile time, so concurrent first callers share no lazy init.
-constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
-
-#if defined(__x86_64__)
-// Eight bytes per crc32 instruction, then the tail a byte at a time.
-__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
-    const std::uint8_t* data, std::size_t size) {
-  std::uint64_t crc = 0xFFFFFFFFu;
-  for (; size >= 8; data += 8, size -= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, data, 8);
-    crc = _mm_crc32_u64(crc, word);
-  }
-  std::uint32_t crc32 = static_cast<std::uint32_t>(crc);
-  for (; size > 0; ++data, --size) crc32 = _mm_crc32_u8(crc32, *data);
-  return ~crc32;
-}
-
-bool CpuHasSse42() {
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("sse4.2") != 0;
-  }();
-  return has;
-}
-#endif
-
 }  // namespace
 
 const char* ToString(FrameType type) {
@@ -230,31 +184,6 @@ const char* ToString(ErrorCode code) {
   return "unknown";
 }
 
-std::uint32_t Crc32cPortable(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kCrc32cTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
-bool Crc32cHardware([[maybe_unused]] const std::uint8_t* data,
-                    [[maybe_unused]] std::size_t size,
-                    [[maybe_unused]] std::uint32_t* crc) {
-#if defined(__x86_64__)
-  if (CpuHasSse42()) {
-    *crc = Crc32cSse42(data, size);
-    return true;
-  }
-#endif
-  return false;
-}
-
-std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0;
-  return Crc32cHardware(data, size, &crc) ? crc : Crc32cPortable(data, size);
-}
-
 DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t size,
                          Frame* frame, std::size_t* consumed) {
   *consumed = 0;
@@ -269,7 +198,7 @@ DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t size,
   if (payload_len > kMaxPayloadBytes) return DecodeStatus::kOversized;
   if (size - kFrameHeaderBytes < payload_len) return DecodeStatus::kIncomplete;
   const std::uint8_t* payload = data + kFrameHeaderBytes;
-  if (Crc32c(payload, payload_len) != Load<std::uint32_t>(data + 12)) {
+  if (io::Crc32c(payload, payload_len) != Load<std::uint32_t>(data + 12)) {
     return DecodeStatus::kBadChecksum;
   }
   frame->type = static_cast<FrameType>(raw_type);

@@ -17,7 +17,7 @@
 //       16     N  payload      type-specific message encoding
 //
 // Version 2 replaced version 1's FNV-1a checksum with CRC-32C
-// (Castagnoli): the SSE4.2 crc32 instruction takes 8 bytes at a time
+// (io/crc32c.h): the SSE4.2 crc32 instruction takes 8 bytes at a time
 // where FNV-1a multiplies once per byte, and CRC-32C detects every
 // single-bit error and every burst of 32 bits or fewer. Every Encode*
 // sizes its frame first and writes header, fields and checksum in place
@@ -101,20 +101,6 @@ struct Frame {
   FrameType type = FrameType::kError;
   std::vector<std::uint8_t> payload;
 };
-
-// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, initial value
-// and final XOR ~0) over `size` bytes -- the frame payload checksum.
-// Runs Crc32cHardware where the CPU has SSE4.2, else Crc32cPortable;
-// the choice is made once per process.
-std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size);
-
-// The two paths behind Crc32c, public so tests can pin their parity.
-// Crc32cPortable is table-driven and runs anywhere. Crc32cHardware
-// stores the SSE4.2 result in *crc and returns true, or returns false
-// on a build or CPU without it.
-std::uint32_t Crc32cPortable(const std::uint8_t* data, std::size_t size);
-bool Crc32cHardware(const std::uint8_t* data, std::size_t size,
-                    std::uint32_t* crc);
 
 // Tries to decode one frame from the front of [data, data+size).
 // kOk: *frame is filled and *consumed is the frame's total size.

@@ -1,8 +1,10 @@
-// Binary CSR cache: round-trip fidelity (including byte-identical
-// re-serialization), rejection of corrupt / truncated / version-skewed /
-// stale files, and the end-to-end ingestion path behind
-// LoadOrGenerateDataset -- a bad cache must be regenerated, never
-// trusted or crashed on.
+// Binary CSR cache: its CRC-32C checksum (published check values,
+// SSE4.2-versus-table parity at every length and alignment, chaining at
+// every split point), round-trip fidelity (including byte-identical
+// re-serialization), rejection of corrupt / truncated / version-skewed
+// (past and future) / stale files, and the end-to-end ingestion path
+// behind LoadOrGenerateDataset -- a bad cache must be regenerated,
+// never trusted or crashed on.
 
 #include <cstdint>
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "graph/datasets.h"
+#include "io/crc32c.h"
 #include "io/csr_cache.h"
 #include "io/edge_list.h"
 #include "io/ingest.h"
@@ -54,6 +57,76 @@ void WriteAll(const std::string& path, const std::vector<unsigned char>& b) {
   CHECK(file != nullptr);
   CHECK(std::fwrite(b.data(), 1, b.size(), file) == b.size());
   CHECK(std::fclose(file) == 0);
+}
+
+// CRC-32C check values: the standard "123456789" and RFC 3720 B.4.
+void TestCrc32cKnownAnswers() {
+  const auto both = [](const std::vector<std::uint8_t>& bytes,
+                       std::uint32_t want) {
+    CHECK(io::Crc32c(bytes.data(), bytes.size()) == want);
+    CHECK(io::Crc32cPortable(bytes.data(), bytes.size()) == want);
+  };
+  const std::string digits = "123456789";
+  both(std::vector<std::uint8_t>(digits.begin(), digits.end()), 0xE3069283u);
+  both(std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu);
+  both(std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u);
+  std::vector<std::uint8_t> ascending(32);
+  std::vector<std::uint8_t> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  both(ascending, 0x46DD794Eu);
+  both(descending, 0x113FDB5Cu);
+  CHECK(io::Crc32c(nullptr, 0) == 0);
+}
+
+// The hardware path agrees with the table at every length and start
+// alignment (unaligned 8-byte loads included).
+void TestCrc32cHardwareMatchesTable() {
+  std::vector<std::uint8_t> bytes(300 + 8);
+  std::uint32_t x = 12345;
+  for (std::uint8_t& b : bytes) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  std::uint32_t probe = 0;
+  const bool hardware = io::Crc32cHardware(bytes.data(), 0, &probe);
+  std::printf("test_csr_cache: CRC-32C hardware path %s\n",
+              hardware ? "present" : "absent (table only)");
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      const std::uint32_t want = io::Crc32cPortable(p, len);
+      CHECK(io::Crc32c(p, len) == want);
+      if (hardware) {
+        std::uint32_t got = 0;
+        CHECK(io::Crc32cHardware(p, len, &got));
+        CHECK(got == want);
+      }
+    }
+  }
+}
+
+// Chaining: extending a CRC over b from the CRC of a equals the CRC of
+// a followed by b, at every split point, on both paths.
+void TestCrc32cChaining() {
+  std::vector<std::uint8_t> bytes(1024);
+  std::uint32_t x = 777;
+  for (std::uint8_t& b : bytes) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  const std::uint32_t whole = io::Crc32c(bytes.data(), bytes.size());
+  CHECK(whole == io::Crc32cPortable(bytes.data(), bytes.size()));
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint8_t* b = bytes.data() + split;
+    const std::size_t b_size = bytes.size() - split;
+    CHECK(io::Crc32c(b, b_size, io::Crc32c(bytes.data(), split)) == whole);
+    CHECK(io::Crc32cPortable(b, b_size,
+                             io::Crc32cPortable(bytes.data(), split)) ==
+          whole);
+  }
 }
 
 void TestRoundTrip() {
@@ -140,6 +213,15 @@ void TestRejectsBadFiles() {
         io::CacheLoadResult::kInvalid);
   CHECK(error.find("version") != std::string::npos);
 
+  // Past format version (v2 checksummed with FNV-1a): refused the same
+  // way, so an old cache is regenerated rather than misread.
+  bytes = ReadAll(Path("round.csr"));
+  bytes[4] = 2;
+  WriteAll(path, bytes);
+  CHECK(io::LoadCsrCache(path, 0, &loaded, &error) ==
+        io::CacheLoadResult::kInvalid);
+  CHECK(error.find("version") != std::string::npos);
+
   // Header bit rot: flipping the directed flag leaves sizes and payload
   // intact, so only the header-covering checksum can catch it.
   bytes = ReadAll(Path("round.csr"));
@@ -184,6 +266,19 @@ void TestIngestAndRegeneration() {
                             &error) == io::IngestStatus::kLoaded);
   CHECK(!report.from_cache);
   CHECK(again.neighbors() == parsed.neighbors());
+  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+                            &error) == io::IngestStatus::kLoaded);
+  CHECK(report.from_cache);
+
+  // A cache left by the previous format version is regenerated too.
+  bytes = ReadAll(report.cache_path);
+  bytes[4] = 2;
+  WriteAll(report.cache_path, bytes);
+  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+                            &error) == io::IngestStatus::kLoaded);
+  CHECK(!report.from_cache);
+  CHECK(again.neighbors() == parsed.neighbors());
+  CHECK(ReadAll(report.cache_path)[4] == io::kCsrCacheVersion);
   CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
                             &error) == io::IngestStatus::kLoaded);
   CHECK(report.from_cache);
@@ -247,6 +342,9 @@ int main() {
     return 1;
   }
   emogi::g_dir = dir;
+  emogi::TestCrc32cKnownAnswers();
+  emogi::TestCrc32cHardwareMatchesTable();
+  emogi::TestCrc32cChaining();
   emogi::TestRoundTrip();
   emogi::TestRejectsBadFiles();
   emogi::TestIngestAndRegeneration();

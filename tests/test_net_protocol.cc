@@ -4,9 +4,9 @@
 //      BFS ResponseMsg encode to hand-computed byte sequences (magic,
 //      version, type, length, and CRC-32C checksum at their documented
 //      offsets), so any codec drift breaks this file before it breaks a
-//      peer. CRC-32C matches its published check values, its SSE4.2
-//      and table paths agree at every length and alignment, and four
-//      threads encoding at once in a fresh process agree byte for byte.
+//      peer, and four threads encoding at once in a fresh process agree
+//      byte for byte. (The checksum's own known answers and path parity
+//      are pinned in test_csr_cache, beside the function's other user.)
 //  (b) Every message type round-trips Encode -> DecodeFrame -> Decode*
 //      losslessly, including all three Response payload variants.
 //  (c) Truncation is never an error: every strict prefix of a valid
@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/crc32c.h"
 #include "net/protocol.h"
 #include "runtime/dispatcher.h"
 #include "test_util.h"
@@ -73,7 +74,7 @@ void TestGoldenRequestFrame() {
   CHECK(std::memcmp(frame.data(), expected, sizeof(expected)) == 0);
 
   // The checksum really is CRC-32C of the payload.
-  CHECK(net::Crc32cPortable(frame.data() + net::kFrameHeaderBytes, 32) ==
+  CHECK(io::Crc32cPortable(frame.data() + net::kFrameHeaderBytes, 32) ==
         0x6129DEE4u);
 }
 
@@ -117,55 +118,6 @@ void TestGoldenResponseFrame() {
   CHECK(std::memcmp(frame.data(), expected, sizeof(expected)) == 0);
 }
 
-// CRC-32C check values: the standard "123456789" and RFC 3720 B.4.
-void TestCrc32cKnownAnswers() {
-  const auto both = [](const std::vector<std::uint8_t>& bytes,
-                       std::uint32_t want) {
-    CHECK(net::Crc32c(bytes.data(), bytes.size()) == want);
-    CHECK(net::Crc32cPortable(bytes.data(), bytes.size()) == want);
-  };
-  const std::string digits = "123456789";
-  both(std::vector<std::uint8_t>(digits.begin(), digits.end()), 0xE3069283u);
-  both(std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu);
-  both(std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u);
-  std::vector<std::uint8_t> ascending(32);
-  std::vector<std::uint8_t> descending(32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    ascending[i] = static_cast<std::uint8_t>(i);
-    descending[i] = static_cast<std::uint8_t>(31 - i);
-  }
-  both(ascending, 0x46DD794Eu);
-  both(descending, 0x113FDB5Cu);
-  CHECK(net::Crc32c(nullptr, 0) == 0);
-}
-
-// The hardware path agrees with the table at every length and start
-// alignment (unaligned 8-byte loads included).
-void TestCrc32cHardwareMatchesTable() {
-  std::vector<std::uint8_t> bytes(300 + 8);
-  std::uint32_t x = 12345;
-  for (std::uint8_t& b : bytes) {
-    x = x * 1103515245u + 12345u;
-    b = static_cast<std::uint8_t>(x >> 24);
-  }
-  std::uint32_t probe = 0;
-  const bool hardware = net::Crc32cHardware(bytes.data(), 0, &probe);
-  std::printf("test_net_protocol: CRC-32C hardware path %s\n",
-              hardware ? "present" : "absent (table only)");
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 300; ++len) {
-      const std::uint8_t* p = bytes.data() + offset;
-      const std::uint32_t want = net::Crc32cPortable(p, len);
-      CHECK(net::Crc32c(p, len) == want);
-      if (hardware) {
-        std::uint32_t got = 0;
-        CHECK(net::Crc32cHardware(p, len, &got));
-        CHECK(got == want);
-      }
-    }
-  }
-}
-
 // Run first, in a fresh process: four threads are the first to touch
 // the checksum path (the once-per-process CPU-feature choice), as the
 // listener's wave workers are. Under TSan this is the race check.
@@ -192,7 +144,7 @@ void TestConcurrentEncodeInFreshProcess() {
     const std::uint32_t stored =
         static_cast<std::uint32_t>(header[12]) | header[13] << 8 |
         header[14] << 16 | static_cast<std::uint32_t>(header[15]) << 24;
-    CHECK(stored == net::Crc32cPortable(header + net::kFrameHeaderBytes,
+    CHECK(stored == io::Crc32cPortable(header + net::kFrameHeaderBytes,
                                         frames[t].size() -
                                             net::kFrameHeaderBytes));
   }
@@ -418,7 +370,7 @@ std::vector<std::uint8_t> HeaderOnly(std::uint16_t version,
   std::vector<std::uint8_t> bytes(net::kFrameHeaderBytes, 0);
   const std::uint32_t magic = net::kWireMagic;
   const std::uint16_t type = 3;  // kRequest.
-  const std::uint32_t checksum = net::Crc32c(nullptr, 0);
+  const std::uint32_t checksum = io::Crc32c(nullptr, 0);
   std::memcpy(bytes.data() + 0, &magic, 4);
   std::memcpy(bytes.data() + 4, &version, 2);
   std::memcpy(bytes.data() + 6, &type, 2);
@@ -842,8 +794,6 @@ int main() {
   emogi::TestConcurrentEncodeInFreshProcess();  // Must run first.
   emogi::TestGoldenRequestFrame();
   emogi::TestGoldenResponseFrame();
-  emogi::TestCrc32cKnownAnswers();
-  emogi::TestCrc32cHardwareMatchesTable();
   emogi::TestHelloRoundTrip();
   emogi::TestHelloAckRoundTrip();
   emogi::TestRequestRoundTrip();

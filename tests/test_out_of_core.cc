@@ -1,14 +1,18 @@
 // Out-of-core ingestion subsystem: gzip/binary container decoding and
-// its failure paths (truncated gzip, corrupt packed pairs), the
-// external-memory chunked CSR builder (byte-identity with the in-memory
-// builder across budgets, budget accounting, budget-too-small and
-// spill-failure errors), the mmap-paged CSR view (parity, corruption
+// its failure paths (truncated gzip, multi-member gzip and trailing
+// garbage, corrupt packed pairs), the external-memory chunked CSR
+// builder (byte-identity and identical stats with the in-memory builder
+// across budgets, budget accounting, budget-too-small, spill-failure
+// and malformed-input errors leaving no temp files), the mmap-paged CSR
+// view (parity, corruption
 // rejection, heap fallback when mmap is unavailable), and the
 // IngestOptions routing that makes the cache file the product when a
 // budget or paged serving is requested.
 
+#include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -120,6 +124,66 @@ void TestGzipContainerFailurePaths() {
   CHECK(!error.empty());
 }
 
+// A gzip file may hold several members back to back (`cat a.gz b.gz`,
+// pigz, bgzip): the container is their concatenation, on the in-memory
+// and the external-memory path alike. Bytes after a member that do not
+// start another member fail the parse, naming the file.
+void TestMultiMemberGzip() {
+  if (!io::GzipSupported()) return;
+  const std::string first = "0 1\n1 2\n";
+  const std::string second = "2 3\n3 4\n";
+  std::string error;
+  CHECK(io::WriteGzipFile(Path("a.el.gz"), first.data(), first.size(),
+                          &error));
+  CHECK(io::WriteGzipFile(Path("b.el.gz"), second.data(), second.size(),
+                          &error));
+  std::vector<unsigned char> joined = ReadAll(Path("a.el.gz"));
+  const std::vector<unsigned char> b_bytes = ReadAll(Path("b.el.gz"));
+  joined.insert(joined.end(), b_bytes.begin(), b_bytes.end());
+  const std::string multi_path = Path("multi.el.gz");
+  WriteAll(multi_path, joined.data(), joined.size());
+
+  const graph::Csr want = ParseText(first + second, /*directed=*/false);
+  graph::Csr parsed;
+  io::EdgeListStats stats;
+  CHECK(io::ParseEdgeListFile(multi_path, false, "ooc", &parsed, &stats,
+                              &error));
+  CHECK(stats.accepted_edges == 4);
+  CHECK(parsed.offsets() == want.offsets());
+  CHECK(parsed.neighbors() == want.neighbors());
+
+  const std::string mem_path = Path("multi_mem.csr");
+  CHECK(io::SaveCsrCache(want, mem_path, 5, &error));
+  const std::string em_path = Path("multi_em.csr");
+  io::EmBuildReport report;
+  CHECK(io::BuildCsrCacheExternal(multi_path, false, "ooc", em_path, 5,
+                                  1ull << 20, &report, &error));
+  CHECK(report.stats.accepted_edges == 4);
+  CHECK(ReadAll(em_path) == ReadAll(mem_path));
+
+  // One member followed by bytes that are not a gzip member.
+  std::vector<unsigned char> garbage = ReadAll(Path("a.el.gz"));
+  for (const unsigned char c : {'0', ' ', '9', '\n'}) garbage.push_back(c);
+  const std::string garbage_path = Path("garbage.el.gz");
+  WriteAll(garbage_path, garbage.data(), garbage.size());
+  error.clear();
+  CHECK(!io::ParseEdgeListFile(garbage_path, false, "ooc", &parsed, nullptr,
+                               &error));
+  CHECK(error.find("garbage.el.gz") != std::string::npos);
+  CHECK(error.find("trailing garbage") != std::string::npos);
+  error.clear();
+  CHECK(!io::BuildCsrCacheExternal(garbage_path, false, "ooc",
+                                   Path("garbage.csr"), 5, 1ull << 20,
+                                   &report, &error));
+  CHECK(error.find("trailing garbage") != std::string::npos);
+
+  // A single stray byte after the member is caught too.
+  garbage.resize(garbage.size() - 3);
+  WriteAll(garbage_path, garbage.data(), garbage.size());
+  CHECK(!io::ParseEdgeListFile(garbage_path, false, "ooc", &parsed, nullptr,
+                               &error));
+}
+
 void TestBinContainerFailurePaths() {
   const std::string text = MessyEdgeList(400, 61);
   const graph::Csr base = ParseText(text, /*directed=*/false);
@@ -167,18 +231,22 @@ void TestChunkedBuildByteIdentity() {
 
     // In-memory reference cache.
     graph::Csr parsed;
+    io::EdgeListStats mem_stats;
     std::string error;
-    CHECK(io::ParseEdgeListFile(text_path, directed, "ooc", &parsed, nullptr,
-                                &error));
+    CHECK(io::ParseEdgeListFile(text_path, directed, "ooc", &parsed,
+                                &mem_stats, &error));
+    CHECK(mem_stats.duplicate_edges > 0);
+    CHECK(mem_stats.self_loops > 0);
     const std::string mem_path = Path("em_mem.csr");
     CHECK(io::SaveCsrCache(parsed, mem_path, 99, &error));
     const std::vector<unsigned char> mem_bytes = ReadAll(mem_path);
 
-    // The chunked builder must reproduce it byte by byte at every
-    // budget: single-chunk (huge), two-ish chunks, and many small
-    // chunks. Chunking keys off *provisional* pre-dedup arc counts, and
-    // the skew parks ~800 raw arcs on vertex 0 (~6.4 KB), so 16 KB is
-    // the smallest budget whose half-size chunks still fit it.
+    // The chunked builder must reproduce it byte by byte -- and report
+    // the same container stats -- at every budget: single-chunk (huge),
+    // two-ish chunks, and many small chunks. Chunking keys off
+    // *provisional* pre-dedup arc counts (4 resident bytes each), and
+    // the skew parks ~800 raw arcs on vertex 0 (~3.2 KB); 16 KB
+    // budgets (8 KB chunks) split both graphs into several chunks.
     const std::uint64_t budgets[] = {1ull << 30, 64ull << 10, 16ull << 10};
     bool saw_multi_chunk = false;
     for (const std::uint64_t budget : budgets) {
@@ -187,6 +255,10 @@ void TestChunkedBuildByteIdentity() {
       CHECK(io::BuildCsrCacheExternal(text_path, directed, "ooc", em_path, 99,
                                       budget, &report, &error));
       CHECK(ReadAll(em_path) == mem_bytes);
+      CHECK(report.stats.lines == mem_stats.lines);
+      CHECK(report.stats.self_loops == mem_stats.self_loops);
+      CHECK(report.stats.accepted_edges == mem_stats.accepted_edges);
+      CHECK(report.stats.duplicate_edges == mem_stats.duplicate_edges);
       CHECK(report.peak_resident_bytes <= budget);
       CHECK(report.chunks >= 1);
       if (report.chunks > 1) {
@@ -197,6 +269,47 @@ void TestChunkedBuildByteIdentity() {
     }
     CHECK(saw_multi_chunk);
     std::remove(mem_path.c_str());
+  }
+}
+
+// Every file in `dir` whose name contains `needle`.
+std::vector<std::string> FilesContaining(const std::string& dir,
+                                         const std::string& needle) {
+  std::vector<std::string> found;
+  DIR* handle = ::opendir(dir.c_str());
+  CHECK(handle != nullptr);
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string leaf = entry->d_name;
+    if (leaf.find(needle) != std::string::npos) found.push_back(leaf);
+  }
+  ::closedir(handle);
+  return found;
+}
+
+// A malformed last line fails the build after every earlier arc went to
+// the raw spill, at a one-chunk and a several-chunk budget; no spill,
+// part, or temp file may outlive the failure.
+void TestMalformedLastLineLeavesNoTempFiles() {
+  const std::string dir = Path("malformed");
+  std::string error;
+  CHECK(io::EnsureDirectory(dir, &error));
+  const std::string text = MessyEdgeList(2000, 97) + "12 oops\n";
+  const std::string text_path = dir + "/bad.el";
+  WriteAll(text_path, text.data(), text.size());
+  const std::string bad_line =
+      "line " +
+      std::to_string(std::count(text.begin(), text.end(), '\n')) + ":";
+  for (const std::uint64_t budget : {1ull << 30, 16ull << 10}) {
+    io::EmBuildReport report;
+    error.clear();
+    CHECK(!io::BuildCsrCacheExternal(text_path, false, "ooc",
+                                     dir + "/bad.csr", 1, budget, &report,
+                                     &error));
+    CHECK(error.find(bad_line) != std::string::npos);
+    for (const char* needle : {".raw.", ".spill.", ".part.", ".emtmp."}) {
+      CHECK(FilesContaining(dir, needle).empty());
+    }
+    CHECK(FilesContaining(dir, "bad.csr").empty());
   }
 }
 
@@ -359,8 +472,10 @@ int main() {
   }
   emogi::g_dir = dir;
   emogi::TestGzipContainerFailurePaths();
+  emogi::TestMultiMemberGzip();
   emogi::TestBinContainerFailurePaths();
   emogi::TestChunkedBuildByteIdentity();
+  emogi::TestMalformedLastLineLeavesNoTempFiles();
   emogi::TestBudgetTooSmall();
   emogi::TestSpillWriteFailure();
   emogi::TestPagedCsrView();
