@@ -14,7 +14,7 @@
 #include "bench/format.h"
 #include "bench/registry.h"
 #include "bench/workload.h"
-#include "core/accountant.h"
+#include "core/static_accountant.h"
 #include "graph/compressed.h"
 #include "ref/reference.h"
 
@@ -49,8 +49,11 @@ int Run(const RunContext& ctx, Report* report) {
 
     double plain_ns = 0;
     double compressed_ns = 0;
-    core::ZeroCopyAccountant plain(config);
-    core::ZeroCopyAccountant packed(config);
+    // Zero-copy accountants ignore the allocation size.
+    using Accountant =
+        core::StaticZeroCopyAccountant<core::AccessMode::kMergedAligned>;
+    Accountant plain(config, /*managed_bytes=*/0);
+    Accountant packed(config, /*managed_bytes=*/0);
     for (std::uint32_t level = 0; level <= max_level; ++level) {
       std::uint64_t edges = 0;
       for (graph::VertexId v = 0; v < csr.num_vertices(); ++v) {

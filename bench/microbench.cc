@@ -3,7 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/accountant.h"
+#include "core/static_accountant.h"
 #include "core/traversal.h"
 #include "graph/generators.h"
 #include "sim/coalescer.h"
@@ -48,7 +48,8 @@ void BM_PageTableTouch(benchmark::State& state) {
 BENCHMARK(BM_PageTableTouch);
 
 void BM_ZeroCopyScan(benchmark::State& state) {
-  core::ZeroCopyAccountant accountant(core::EmogiConfig::MergedAligned());
+  core::StaticZeroCopyAccountant<core::AccessMode::kMergedAligned> accountant(
+      core::EmogiConfig::MergedAligned(), /*managed_bytes=*/0);
   std::uint64_t offset = 0;
   for (auto _ : state) {
     accountant.OnListScan(4096, offset, offset + 38, 8);

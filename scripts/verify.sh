@@ -68,29 +68,19 @@ echo "=== regression gate: fig11 vs checked-in baseline ==="
   build/BENCH_fig11_analogs.json
 
 echo
-echo "=== scan throughput: monomorphized vs virtual dispatch ==="
-# --selfcheck gates byte-identity of the static engine/accountant
-# against the virtual seam; the timed run then records host edges/s in
-# BENCH_scan_throughput.json and must show the monomorphized path >= 3x
-# the retained virtual-dispatch reference on at least one app x mode
-# (the naive columns clear it with margin; UVM cannot, by design --
-# page-table work dominates both paths identically).
+echo "=== scan throughput: host edges/s of DispatchRun per app x mode ==="
+# --selfcheck gates that every access mode scans the same edge count per
+# app (frontier evolution never depends on the cost model); the timed
+# run records host edges/s in BENCH_scan_throughput.json.
 ./build/emogi_bench run scan_throughput --scale 16384 --sources 1 --selfcheck
 ./build/emogi_bench run scan_throughput --scale 16384 --sources 1 \
   --format=json --out build/BENCH_scan_throughput.json
-./build/emogi_bench run scan_throughput --scale 16384 --sources 1 \
-  --format=csv --out build/BENCH_scan_throughput.csv
-awk -F, '$4 == "speedup_vs_virtual" && $5 > max { max = $5 }
-         END {
-           printf "max speedup_vs_virtual: %.2fx\n", max
-           exit (max >= 3.0 ? 0 : 1)
-         }' build/BENCH_scan_throughput.csv
 
 echo
 echo "=== regression gate: scan_throughput vs checked-in baseline ==="
 # The checked-in baseline keeps only the deterministic rows (per-app
-# simulated edges_replayed counts); every edges/s and speedup row is
-# wall-clock and was stripped when it was generated, so the compared
+# simulated edges_replayed counts); every edges/s row is wall-clock and
+# was stripped when it was generated, so the compared
 # metrics must match exactly on any machine.
 ./build/emogi_bench run scan_throughput --scale 4096 --sources 2 \
   --format=json --out build/BENCH_scan_throughput_analogs.json

@@ -1,6 +1,6 @@
 #include "core/accountant.h"
 
-#include <algorithm>
+#include "sim/pcie.h"
 
 namespace emogi::core {
 
@@ -12,156 +12,6 @@ std::uint64_t WeightBase(const graph::Csr& csr) {
 
 std::uint64_t ManagedGraphBytes(const graph::Csr& csr) {
   return WeightBase(csr) + csr.num_edges() * kWeightBytes;
-}
-
-std::unique_ptr<Accountant> MakeAccountant(const graph::Csr& csr,
-                                           const EmogiConfig& config) {
-  return MakeAccountant(config, ManagedGraphBytes(csr));
-}
-
-std::unique_ptr<Accountant> MakeAccountant(const EmogiConfig& config,
-                                           std::uint64_t managed_bytes) {
-  if (config.mode == AccessMode::kUvm) {
-    return std::make_unique<UvmAccountant>(config, managed_bytes);
-  }
-  return std::make_unique<ZeroCopyAccountant>(config);
-}
-
-ZeroCopyAccountant::ZeroCopyAccountant(const EmogiConfig& config)
-    : config_(config), pcie_(config.device.link) {}
-
-void ZeroCopyAccountant::AddSpanRequests(sim::Addr begin, sim::Addr end) {
-  // Same splitting as Coalescer::CoalesceSpan (one shared definition in
-  // sim/coalescer.h), without materializing the transactions. Note the
-  // per-request RequestWireNs call: this implementation deliberately
-  // keeps the unspecialized per-request arithmetic -- it is the
-  // reference the monomorphized fast path is measured against.
-  sim::ForEachSpanRequest(
-      begin, end, [this](sim::Addr /*addr*/, std::uint32_t bytes) {
-        kernel_requests_.Add(bytes);
-        ++kernel_request_count_;
-        kernel_bytes_ += bytes;
-        kernel_wire_ns_ += pcie_.RequestWireNs(bytes);
-      });
-}
-
-void ZeroCopyAccountant::OnListScan(sim::Addr base_addr,
-                                    std::uint64_t elem_begin,
-                                    std::uint64_t elem_end,
-                                    std::uint32_t elem_bytes) {
-  if (elem_begin >= elem_end) return;
-  const sim::Addr span_begin = base_addr + elem_begin * elem_bytes;
-  const sim::Addr span_end = base_addr + elem_end * elem_bytes;
-
-  if (config_.mode == AccessMode::kNaive) {
-    // Vertex-per-thread: every element load is its own instruction with
-    // no lane to pair with, so each costs a full 32B sector request.
-    const std::uint64_t elems = elem_end - elem_begin;
-    kernel_requests_.Add(sim::kSectorBytes, elems);
-    kernel_request_count_ += elems;
-    kernel_bytes_ += elems * sim::kSectorBytes;
-    kernel_wire_ns_ +=
-        static_cast<double>(elems) * pcie_.RequestWireNs(sim::kSectorBytes);
-    return;
-  }
-
-  const sim::Addr window =
-      static_cast<sim::Addr>(std::max(1, config_.worker_lanes)) * elem_bytes;
-  // Merged: warp windows are anchored at the list head, so every window
-  // of a misaligned list re-splits across cacheline boundaries.
-  // Merged+aligned: EMOGI's shifted first iteration anchors the windows
-  // on the absolute window grid instead -- one partial head request,
-  // then full cachelines (when the window is a cacheline multiple).
-  const sim::Addr anchor = config_.mode == AccessMode::kMergedAligned
-                               ? span_begin - span_begin % window
-                               : span_begin;
-  for (sim::Addr w = anchor; w < span_end; w += window) {
-    AddSpanRequests(std::max(w, span_begin), std::min(w + window, span_end));
-  }
-}
-
-KernelCost ZeroCopyAccountant::CloseKernel(std::uint64_t work_edges) {
-  KernelCost cost;
-  cost.wire_ns = kernel_wire_ns_;
-  cost.latency_ns =
-      static_cast<double>(kernel_request_count_) * pcie_.RequestLatencyNs();
-  cost.compute_ns = static_cast<double>(work_edges) *
-                    config_.device.compute_ns_per_edge;
-  cost.total_ns = std::max({cost.wire_ns, cost.latency_ns, cost.compute_ns}) +
-                  config_.device.kernel_launch_ns;
-
-  stats_.total_time_ns += cost.total_ns;
-  stats_.wire_ns += cost.wire_ns;
-  stats_.latency_ns += cost.latency_ns;
-  stats_.compute_ns += cost.compute_ns;
-  stats_.bytes_moved += kernel_bytes_;
-  stats_.requests.Merge(kernel_requests_);
-  ++stats_.kernels;
-
-  kernel_requests_ = RequestHistogram();
-  kernel_request_count_ = 0;
-  kernel_wire_ns_ = 0;
-  kernel_bytes_ = 0;
-  return cost;
-}
-
-UvmAccountant::UvmAccountant(const EmogiConfig& config,
-                             std::uint64_t managed_bytes)
-    : config_(config),
-      pcie_(config.device.link),
-      table_((managed_bytes + sim::kPageBytes - 1) / sim::kPageBytes,
-             static_cast<std::uint64_t>(
-                 config.device.uvm_resident_fraction *
-                 static_cast<double>(config.device.ScaledMemoryBytes())) /
-                 sim::kPageBytes),
-      touched_epoch_((managed_bytes + sim::kPageBytes - 1) / sim::kPageBytes,
-                     0) {
-  epoch_ = 1;
-}
-
-void UvmAccountant::OnListScan(sim::Addr base_addr, std::uint64_t elem_begin,
-                               std::uint64_t elem_end,
-                               std::uint32_t elem_bytes) {
-  if (elem_begin >= elem_end) return;
-  const std::uint64_t first = (base_addr + elem_begin * elem_bytes) /
-                              sim::kPageBytes;
-  const std::uint64_t last = (base_addr + elem_end * elem_bytes - 1) /
-                             sim::kPageBytes;
-  for (std::uint64_t page = first; page <= last; ++page) {
-    if (touched_epoch_[page] == epoch_) continue;
-    touched_epoch_[page] = epoch_;
-    if (table_.Touch(page)) ++kernel_faults_;
-  }
-}
-
-KernelCost UvmAccountant::CloseKernel(std::uint64_t work_edges) {
-  KernelCost cost;
-  const std::uint64_t migrated = kernel_faults_ * sim::kPageBytes;
-  // Migrations move whole pages at bulk (cudaMemcpy-like) bandwidth; the
-  // serial fault handler adds a fixed charge per fault and does not
-  // overlap the copies (that serialization is why UVM cannot feed a
-  // faster link, figure 12).
-  cost.wire_ns = static_cast<double>(migrated) / pcie_.PeakBulkBandwidth();
-  cost.fault_ns =
-      static_cast<double>(kernel_faults_) * config_.device.fault_service_ns;
-  cost.compute_ns = static_cast<double>(work_edges) *
-                    config_.device.compute_ns_per_edge;
-  cost.total_ns = std::max(cost.compute_ns, cost.wire_ns + cost.fault_ns) +
-                  config_.device.kernel_launch_ns;
-
-  stats_.total_time_ns += cost.total_ns;
-  stats_.wire_ns += cost.wire_ns;
-  stats_.fault_ns += cost.fault_ns;
-  stats_.compute_ns += cost.compute_ns;
-  stats_.bytes_moved += migrated;
-  stats_.page_faults += kernel_faults_;
-  stats_.requests.Add(static_cast<std::uint32_t>(sim::kPageBytes),
-                      kernel_faults_);
-  ++stats_.kernels;
-
-  kernel_faults_ = 0;
-  ++epoch_;
-  return cost;
 }
 
 }  // namespace emogi::core

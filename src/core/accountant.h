@@ -1,47 +1,13 @@
-// Traffic accountants: turn neighbor-list scans into PCIe requests and
-// kernel times under a given access mode.
-//
-// `Accountant` is the public seam between the algorithm layer (the
-// frontier engine in core/engine.h, the toy kernels) and the hardware
-// model: callers describe *what* is read (list scans, kernel
-// boundaries), an accountant decides *what it costs* under its access
-// model. A CUDA backend would implement the same interface with real
-// measurements instead of the analytical model.
-//
-// ZeroCopyAccountant models the paper's pinned-host-memory kernels. A
-// worker of `worker_lanes` threads scans a list in windows of
-// lanes*elem_bytes bytes; each window is one warp memory instruction,
-// which the coalescer splits into sector-rounded, cacheline-bounded
-// requests (naive mode instead issues one 32B sector request per
-// element). CloseKernel() converts the accumulated request mix into
-// kernel time: max(wire occupancy, tag-window occupancy, compute).
-//
-// UvmAccountant models the managed-memory baseline: accesses hit the
-// page table, misses migrate whole pages at bulk bandwidth plus a serial
-// per-fault handler charge.
-//
-// The hot scan path does NOT go through this interface anymore: the
-// frontier engine and the toy kernels run monomorphized accountants
-// (core/static_accountant.h) selected once per run by core::DispatchRun.
-// The virtual implementations here are the *retained reference*: they
-// must stay arithmetic-identical to their static twins (byte-identical
-// stats, enforced by test_engine_parity) and serve as (a) the public
-// seam a future CUDA backend implements with real measurements, and (b)
-// the dispatch-cost baseline the scan_throughput experiment measures
-// the monomorphized path against.
+// Shared vocabulary of the traffic accountants (core/static_accountant.h):
+// the per-kernel cost record they return, and the host-memory layout of
+// the managed/pinned graph arrays their byte addresses refer to.
 
 #ifndef EMOGI_CORE_ACCOUNTANT_H_
 #define EMOGI_CORE_ACCOUNTANT_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "core/config.h"
-#include "core/stats.h"
 #include "graph/csr.h"
-#include "sim/pcie.h"
-#include "uvm/page_table.h"
 
 namespace emogi::core {
 
@@ -53,29 +19,11 @@ struct KernelCost {
   double fault_ns = 0;
 };
 
-class Accountant {
- public:
-  virtual ~Accountant() = default;
-
-  // One worker scans elements [elem_begin, elem_end) of an array whose
-  // element 0 starts at byte address `base_addr` in host memory.
-  virtual void OnListScan(sim::Addr base_addr, std::uint64_t elem_begin,
-                          std::uint64_t elem_end,
-                          std::uint32_t elem_bytes) = 0;
-
-  // Ends the current kernel, charging `work_edges` of compute, and folds
-  // the kernel into the running stats. Returns this kernel's cost.
-  virtual KernelCost CloseKernel(std::uint64_t work_edges) = 0;
-
-  virtual const TraversalStats& stats() const = 0;
-  virtual TraversalStats* mutable_stats() = 0;
-};
-
 // --- Host-memory layout of the managed/pinned graph arrays ------------------
 // The edge list sits at offset 0; SSSP's 4-byte weight array starts on
 // the next page boundary. Every accountant construction path shares this
-// layout so traversal, the toy kernels, and future hardware backends
-// agree on what a byte address means.
+// layout so traversal, the batched engine and the multi-GPU engine agree
+// on what a byte address means.
 
 inline constexpr std::uint32_t kWeightBytes = 4;
 
@@ -85,68 +33,6 @@ std::uint64_t WeightBase(const graph::Csr& csr);
 // Total bytes of the managed/pinned allocation for `csr` (edge list plus
 // the weight array; sized for SSSP so one layout serves all three apps).
 std::uint64_t ManagedGraphBytes(const graph::Csr& csr);
-
-// Accountant for a graph laid out as above. Picks the implementation
-// from `config.mode`.
-std::unique_ptr<Accountant> MakeAccountant(const graph::Csr& csr,
-                                           const EmogiConfig& config);
-
-// Lower-level factory for callers without a graph (e.g. the toy 1D-array
-// kernels): the scanned allocation spans [0, managed_bytes).
-std::unique_ptr<Accountant> MakeAccountant(const EmogiConfig& config,
-                                           std::uint64_t managed_bytes);
-
-class ZeroCopyAccountant final : public Accountant {
- public:
-  explicit ZeroCopyAccountant(const EmogiConfig& config);
-
-  void OnListScan(sim::Addr base_addr, std::uint64_t elem_begin,
-                  std::uint64_t elem_end, std::uint32_t elem_bytes) override;
-
-  KernelCost CloseKernel(std::uint64_t work_edges) override;
-
-  const TraversalStats& stats() const override { return stats_; }
-  TraversalStats* mutable_stats() override { return &stats_; }
-
- private:
-  void AddSpanRequests(sim::Addr begin, sim::Addr end);
-
-  EmogiConfig config_;
-  sim::PcieTimingModel pcie_;
-  TraversalStats stats_;
-  // Current-kernel accumulators.
-  RequestHistogram kernel_requests_;
-  std::uint64_t kernel_request_count_ = 0;
-  double kernel_wire_ns_ = 0;
-  std::uint64_t kernel_bytes_ = 0;
-};
-
-class UvmAccountant final : public Accountant {
- public:
-  // `managed_bytes` is the size of the managed allocation the scans
-  // address (edge list, plus weights for SSSP).
-  UvmAccountant(const EmogiConfig& config, std::uint64_t managed_bytes);
-
-  void OnListScan(sim::Addr base_addr, std::uint64_t elem_begin,
-                  std::uint64_t elem_end, std::uint32_t elem_bytes) override;
-
-  KernelCost CloseKernel(std::uint64_t work_edges) override;
-
-  const TraversalStats& stats() const override { return stats_; }
-  TraversalStats* mutable_stats() override { return &stats_; }
-
- private:
-  EmogiConfig config_;
-  sim::PcieTimingModel pcie_;
-  uvm::PageTable table_;
-  TraversalStats stats_;
-  std::uint64_t kernel_faults_ = 0;
-  // Fault replays batched away within one kernel: a page touched twice in
-  // the same kernel migrates at most once, even across an eviction (the
-  // driver's fault batching and the kernel's latency hiding absorb it).
-  std::vector<std::uint32_t> touched_epoch_;
-  std::uint32_t epoch_ = 0;
-};
 
 }  // namespace emogi::core
 

@@ -20,14 +20,11 @@
 // like CC refill it until a fixpoint). Adding an algorithm (PageRank,
 // Afforest CC, ...) is a new ~40-line policy, not a new loop.
 //
-// The engine is also templated on the *accountant* type: the loop calls
-// accountant.OnListScan/CloseKernel through whatever static type it was
-// handed, so one instantiation per (policy x access mode) exists with
-// the mode's cost model inlined into the scan loop (the monomorphized
-// hot path), while an instantiation with the abstract `Accountant&`
-// remains the virtual-dispatch reference the tests and the
-// scan_throughput baseline run. `DispatchRun` is the run-entry seam
-// picking the monomorphized instantiation from config.mode once per run.
+// The engine is also templated on the *accountant* type
+// (core/static_accountant.h): one instantiation per (policy x access
+// mode) exists, with the mode's cost model inlined into the scan loop.
+// `DispatchRun` is the run entry picking that instantiation from
+// config.mode once per run.
 
 #ifndef EMOGI_CORE_ENGINE_H_
 #define EMOGI_CORE_ENGINE_H_
@@ -48,7 +45,7 @@ inline constexpr std::uint64_t kInfDistance = ~0ull;
 
 // The one frontier loop, monomorphized on (Policy, AccountantT). The
 // accountant is passed in (not made here) so callers control its
-// concrete type; `AccountantT = Accountant` gives the virtual reference.
+// concrete type.
 template <typename Policy, typename AccountantT>
 TraversalStats RunFrontierEngine(const graph::Csr& csr, Policy& policy,
                                  AccountantT& accountant) {
@@ -81,8 +78,9 @@ TraversalStats RunFrontierEngine(const graph::Csr& csr, Policy& policy,
 
 // Monomorphized run entry: selects the static (policy x access-mode)
 // engine instantiation once from config.mode, then runs with zero
-// per-scan dispatch. This is what the traversal facade, the multi-GPU
-// engine, and the experiments all route through.
+// per-scan dispatch. This is what the traversal facade and the
+// experiments route through (the multi-GPU engine has its own entry
+// over the same WithStaticAccountant mapping).
 template <typename Policy>
 TraversalStats DispatchRun(const graph::Csr& csr, const EmogiConfig& config,
                            Policy& policy) {
@@ -91,18 +89,6 @@ TraversalStats DispatchRun(const graph::Csr& csr, const EmogiConfig& config,
     typename decltype(tag)::type accountant(config, managed_bytes);
     return RunFrontierEngine(csr, policy, accountant);
   });
-}
-
-// The retained virtual-dispatch reference: the seed path through
-// MakeAccountant and per-scan virtual calls, kept as the baseline the
-// scan_throughput experiment measures against and the byte-identity
-// oracle test_engine_parity compares DispatchRun to.
-template <typename Policy>
-TraversalStats RunFrontierEngineVirtual(const graph::Csr& csr,
-                                        const EmogiConfig& config,
-                                        Policy& policy) {
-  const std::unique_ptr<Accountant> accountant = MakeAccountant(csr, config);
-  return RunFrontierEngine(csr, policy, *accountant);
 }
 
 // --- Algorithm policies -----------------------------------------------------

@@ -1,31 +1,39 @@
-// Monomorphized accountants: the compile-time twins of the virtual
-// `Accountant` implementations in core/accountant.h.
+// Traffic accountants: turn neighbor-list scans into PCIe requests and
+// kernel times under a given access mode -- the simulator's one cost
+// model, one concrete type per mode.
 //
-// The frontier engine charges every neighbor-list scan of every frontier
-// vertex to the accountant, so on full-scale graphs the per-scan seam is
-// the simulator's hottest call site. The virtual interface pays an
-// indirect call plus a runtime access-mode branch per scan and
-// re-derives per-request constants (TLP wire occupancy, tag-window
-// latency -- each a division in the PCIe model) inside the per-element
-// loop. The types here are concrete and final, selected once per run by
-// `WithStaticAccountant` below (the one access-mode -> accountant
-// mapping every run entry goes through), so the compiler inlines
-// `OnListScan`/`CloseKernel` straight into the engine loop with all
-// constants hoisted into members at construction.
+// Callers (the frontier engine in core/engine.h, the toy kernels, the
+// batched and multi-GPU engines) describe *what* is read -- list scans
+// via OnListScan, kernel boundaries via CloseKernel -- and the
+// accountant decides *what it costs*:
 //
-// Contract: these must stay arithmetic-identical to the virtual
-// reference path -- same operations in the same order, so every stat is
-// byte-identical, doubles included (test_engine_parity compares the two
-// paths bitwise across all modes x policies x thread counts). Hoists are
-// therefore limited to pure per-request constants (the wire-occupancy
-// table, the per-request latency, the bulk bandwidth) and to integer
-// bookkeeping (the request histogram is accumulated as per-bucket counts
-// and folded at CloseKernel); the floating-point accumulation order of
-// kernel_wire_ns_ is untouched.
+// - StaticZeroCopyAccountant<Mode> models the paper's pinned-host-memory
+//   kernels. A worker of `worker_lanes` threads scans a list in windows
+//   of lanes*elem_bytes bytes; each window is one warp memory
+//   instruction, split into sector-rounded, cacheline-bounded requests
+//   (the splitting sim::ForEachSpanRequest defines; naive mode instead
+//   issues one 32B sector request per element). CloseKernel converts
+//   the kernel's request mix into time: max(wire occupancy, tag-window
+//   occupancy, compute) plus the launch charge.
+// - StaticUvmAccountant models the managed-memory baseline: accesses hit
+//   the page table, misses migrate whole pages at bulk bandwidth plus a
+//   serial per-fault handler charge.
 //
-// Both accountant shapes share the (config, managed_bytes) constructor
-// signature so DispatchRun can instantiate any of them uniformly; the
-// zero-copy models ignore the allocation size.
+// The engine charges every scan of every frontier vertex, so this is the
+// simulator's hottest call site. The types are concrete and final,
+// selected once per run by `WithStaticAccountant` below (the one
+// access-mode -> accountant mapping every run entry goes through), so
+// the compiler inlines `OnListScan`/`CloseKernel` straight into the
+// engine loop, with the per-request constants (TLP wire occupancy,
+// tag-window latency, bulk bandwidth) hoisted into members at
+// construction.
+//
+// Both shapes share the (config, managed_bytes) constructor signature so
+// callers can instantiate any of them uniformly; the zero-copy models
+// ignore the allocation size. tests/test_pcie_model.cc checks both
+// against a plain oracle built from sim::ForEachSpanRequest,
+// PcieTimingModel::RequestWireNs and uvm::PageTable, with `==` on every
+// double.
 
 #ifndef EMOGI_CORE_STATIC_ACCOUNTANT_H_
 #define EMOGI_CORE_STATIC_ACCOUNTANT_H_
@@ -84,10 +92,11 @@ class StaticZeroCopyAccountant final {
       kernel_wire_ns_ += static_cast<double>(elems) * wire_ns_[0];
     } else {
       const sim::Addr window = window_lanes_ * elem_bytes;
-      // Merged anchors warp windows at the list head; merged+aligned
-      // (EMOGI's shifted first iteration) anchors them on the absolute
-      // window grid -- resolved at compile time here, where the virtual
-      // reference re-tests config.mode on every scan.
+      // Merged anchors warp windows at the list head, so every window
+      // of a misaligned list re-splits across cacheline boundaries.
+      // Merged+aligned (EMOGI's shifted first iteration) anchors them on
+      // the absolute window grid instead -- one partial head request,
+      // then full cachelines (when the window is a cacheline multiple).
       sim::Addr anchor;
       if constexpr (kMode == AccessMode::kMergedAligned) {
         anchor = span_begin - span_begin % window;
@@ -145,11 +154,11 @@ class StaticZeroCopyAccountant final {
   // Emits the same request sequence as sim::ForEachSpanRequest -- head
   // piece up to the first cacheline boundary, full cachelines, tail --
   // but in straight-line form: the splitter's per-piece cursor loop is
-  // the bulk of the monomorphized scan cost once dispatch is gone, and
-  // the piece structure is computable up front. Full cachelines fold
-  // their integer bookkeeping into one update; their wire time still
-  // accumulates one add per request, in order, so the double sum stays
-  // bit-identical to the reference loop's.
+  // the bulk of the scan cost, and the piece structure is computable up
+  // front. Full cachelines fold their integer bookkeeping into one
+  // update; their wire time still accumulates one add per request, in
+  // order, so the double sum equals the plain per-request loop's bit for
+  // bit.
   void AddSpanRequests(sim::Addr begin, sim::Addr end) {
     if (begin >= end) return;
     sim::Addr cursor = begin - begin % sim::kSectorBytes;
@@ -190,7 +199,7 @@ class StaticZeroCopyAccountant final {
   // Current-kernel accumulators. Request-size counts fold into the
   // histogram only at CloseKernel (integer bookkeeping, so the deferred
   // fold is exact); the wire time accumulates per request, in request
-  // order, to keep double addition bit-identical to the reference.
+  // order, so the double sum is that of the plain per-request model.
   std::uint64_t sector_requests_[4] = {0, 0, 0, 0};
   std::uint64_t kernel_request_count_ = 0;
   double kernel_wire_ns_ = 0;
@@ -199,9 +208,7 @@ class StaticZeroCopyAccountant final {
 
 // Managed-memory (UVM) model: page-table residency per scanned page,
 // whole-page migrations at bulk bandwidth plus a serial per-fault
-// handler charge at CloseKernel. Identical arithmetic to UvmAccountant
-// with the bulk-bandwidth and fault constants hoisted and the page-table
-// touch inlined (uvm/page_table.h).
+// handler charge at CloseKernel.
 class StaticUvmAccountant final {
  public:
   StaticUvmAccountant(const EmogiConfig& config, std::uint64_t managed_bytes)
@@ -242,6 +249,8 @@ class StaticUvmAccountant final {
     cost.wire_ns = static_cast<double>(migrated) / peak_bulk_bandwidth_;
     cost.fault_ns = static_cast<double>(kernel_faults_) * fault_service_ns_;
     cost.compute_ns = static_cast<double>(work_edges) * compute_ns_per_edge_;
+    // The serial fault handler does not overlap the copies (that
+    // serialization is why UVM cannot feed a faster link, figure 12).
     cost.total_ns = std::max(cost.compute_ns, cost.wire_ns + cost.fault_ns) +
                     kernel_launch_ns_;
 

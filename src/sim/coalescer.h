@@ -35,10 +35,10 @@ struct Transaction {
 // Splits the byte span [begin, end) into sector-rounded,
 // cacheline-bounded requests, calling fn(addr, bytes) for each. This is
 // the one definition of the splitting arithmetic: Coalescer::CoalesceSpan
-// materializes the transactions through it, while the accountants'
-// per-scan fast paths (core/static_accountant.h and the virtual
-// reference in core/accountant.cc) only accumulate counts and never
-// allocate -- the simulator's hottest loop.
+// materializes the transactions through it. The zero-copy accountant
+// (core/static_accountant.h) emits the same sequence in straight-line
+// form without allocating, and tests/test_pcie_model.cc checks it
+// against this loop.
 template <typename Fn>
 inline void ForEachSpanRequest(Addr begin, Addr end, Fn&& fn) {
   if (begin >= end) return;

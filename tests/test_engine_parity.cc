@@ -3,14 +3,10 @@
 // actually scanned: BFS expands each reached vertex once, so its
 // compute charge is the summed degree of the reached set; CC's
 // full-graph sweeps each charge the whole edge list (no hardcoded
-// per-sweep constant), and (c) be *monomorphization-safe*: the static
-// (policy x access-mode) instantiations core::DispatchRun selects must
-// produce byte-identical TraversalStats, byte-identical per-kernel
-// KernelCosts, and equal answers to the retained virtual-dispatch
-// reference, for every mode x app and at every thread count.
+// per-sweep constant), and (c) give the same per-source stats through
+// the parallel sweep facade at any thread count as a serial run.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "core/engine.h"
@@ -91,130 +87,10 @@ void TestParity() {
   CheckParityOn(graph::LoadOrGenerateDataset("ML", 16384));
 }
 
-// --- Monomorphization safety: static dispatch == virtual dispatch -----------
-
-// Wraps any accountant (static or virtual) and records every
-// CloseKernel return, so two engine runs can be compared kernel by
-// kernel, not just on the folded totals.
-template <typename Inner>
-class RecordingAccountant {
- public:
-  explicit RecordingAccountant(Inner& inner) : inner_(inner) {}
-
-  void OnListScan(sim::Addr base_addr, std::uint64_t elem_begin,
-                  std::uint64_t elem_end, std::uint32_t elem_bytes) {
-    inner_.OnListScan(base_addr, elem_begin, elem_end, elem_bytes);
-  }
-  core::KernelCost CloseKernel(std::uint64_t work_edges) {
-    costs_.push_back(inner_.CloseKernel(work_edges));
-    return costs_.back();
-  }
-  const core::TraversalStats& stats() const { return inner_.stats(); }
-  core::TraversalStats* mutable_stats() { return inner_.mutable_stats(); }
-
-  const std::vector<core::KernelCost>& costs() const { return costs_; }
-
- private:
-  Inner& inner_;
-  std::vector<core::KernelCost> costs_;
-};
-
-// Runs `make_policy(csr)`'s app once through the given static accountant
-// type and once through the virtual reference, asserting byte-identical
-// folded stats and byte-identical per-kernel costs.
-template <typename StaticAccountant, typename MakePolicy>
-void CheckKernelCostParity(const graph::Csr& csr,
-                           const core::EmogiConfig& config,
-                           const MakePolicy& make_policy) {
-  auto static_policy = make_policy(csr);
-  StaticAccountant fast(config, core::ManagedGraphBytes(csr));
-  RecordingAccountant<StaticAccountant> fast_recorder(fast);
-  const core::TraversalStats fast_stats =
-      core::RunFrontierEngine(csr, static_policy, fast_recorder);
-
-  auto virtual_policy = make_policy(csr);
-  const std::unique_ptr<core::Accountant> reference =
-      core::MakeAccountant(csr, config);
-  RecordingAccountant<core::Accountant> reference_recorder(*reference);
-  const core::TraversalStats reference_stats =
-      core::RunFrontierEngine(csr, virtual_policy, reference_recorder);
-
-  CHECK(fast_stats == reference_stats);
-  CHECK(fast_recorder.costs().size() == reference_recorder.costs().size());
-  for (std::size_t k = 0; k < fast_recorder.costs().size(); ++k) {
-    const core::KernelCost& a = fast_recorder.costs()[k];
-    const core::KernelCost& b = reference_recorder.costs()[k];
-    CHECK(a.total_ns == b.total_ns);
-    CHECK(a.wire_ns == b.wire_ns);
-    CHECK(a.latency_ns == b.latency_ns);
-    CHECK(a.compute_ns == b.compute_ns);
-    CHECK(a.fault_ns == b.fault_ns);
-  }
-}
-
-template <typename MakePolicy>
-void CheckKernelCostParityAllModes(const graph::Csr& csr,
-                                   const core::EmogiConfig& config,
-                                   const MakePolicy& make_policy) {
-  core::WithStaticAccountant(config.mode, [&](auto tag) {
-    CheckKernelCostParity<typename decltype(tag)::type>(csr, config,
-                                                        make_policy);
-  });
-}
-
-// All 4 modes x 3 policies: DispatchRun's monomorphized run must match
-// the virtual-dispatch reference bitwise in stats, per-kernel costs,
-// and answers.
-void TestStaticDispatchParity() {
-  const graph::Csr csr = graph::LoadOrGenerateDataset("GK", 16384);
-  const auto sources = graph::PickSources(csr, 2);
-
-  for (core::EmogiConfig config : AllModes()) {
-    config.device.scale_factor = 1 << 14;  // Out-of-memory regime.
-
-    core::BfsPolicy bfs_fast(csr, sources[0]);
-    const core::TraversalStats bfs_static =
-        core::DispatchRun(csr, config, bfs_fast);
-    core::BfsPolicy bfs_reference(csr, sources[0]);
-    const core::TraversalStats bfs_virtual =
-        core::RunFrontierEngineVirtual(csr, config, bfs_reference);
-    CHECK(bfs_static == bfs_virtual);
-    CHECK(bfs_fast.levels() == bfs_reference.levels());
-
-    core::SsspPolicy sssp_fast(csr, sources[0]);
-    const core::TraversalStats sssp_static =
-        core::DispatchRun(csr, config, sssp_fast);
-    core::SsspPolicy sssp_reference(csr, sources[0]);
-    const core::TraversalStats sssp_virtual =
-        core::RunFrontierEngineVirtual(csr, config, sssp_reference);
-    CHECK(sssp_static == sssp_virtual);
-    CHECK(sssp_fast.distances() == sssp_reference.distances());
-
-    core::CcPolicy cc_fast(csr);
-    const core::TraversalStats cc_static =
-        core::DispatchRun(csr, config, cc_fast);
-    core::CcPolicy cc_reference(csr);
-    const core::TraversalStats cc_virtual =
-        core::RunFrontierEngineVirtual(csr, config, cc_reference);
-    CHECK(cc_static == cc_virtual);
-    CHECK(cc_fast.labels() == cc_reference.labels());
-
-    const graph::VertexId source = sources[0];
-    CheckKernelCostParityAllModes(
-        csr, config,
-        [source](const graph::Csr& g) { return core::BfsPolicy(g, source); });
-    CheckKernelCostParityAllModes(csr, config, [source](const graph::Csr& g) {
-      return core::SsspPolicy(g, source);
-    });
-    CheckKernelCostParityAllModes(
-        csr, config, [](const graph::Csr& g) { return core::CcPolicy(g); });
-  }
-}
-
-// The sweep facade (Traversal::BfsSweep) routes every per-source run
-// through DispatchRun; at any worker count each run must still be
-// byte-identical to a serial virtual-dispatch run of the same source.
-void TestSweepMatchesVirtualAtAnyThreadCount() {
+// The sweep facade (Traversal::BfsSweep) fans per-source runs across
+// workers; at any worker count each run must still be byte-identical to
+// a serial run of the same source.
+void TestSweepMatchesSerialAtAnyThreadCount() {
   const graph::Csr csr = graph::LoadOrGenerateDataset("GK", 16384);
   const auto sources = graph::PickSources(csr, 4);
 
@@ -226,10 +102,7 @@ void TestSweepMatchesVirtualAtAnyThreadCount() {
           traversal.BfsSweep(sources, threads);
       CHECK(runs.size() == sources.size());
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        core::BfsPolicy policy(csr, sources[i]);
-        const core::TraversalStats reference =
-            core::RunFrontierEngineVirtual(csr, config, policy);
-        CHECK(runs[i] == reference);
+        CHECK(runs[i] == traversal.Bfs(sources[i]).stats);
       }
     }
   }
@@ -240,8 +113,7 @@ void TestSweepMatchesVirtualAtAnyThreadCount() {
 
 int main() {
   emogi::TestParity();
-  emogi::TestStaticDispatchParity();
-  emogi::TestSweepMatchesVirtualAtAnyThreadCount();
+  emogi::TestSweepMatchesSerialAtAnyThreadCount();
   std::printf("test_engine_parity: OK\n");
   return 0;
 }

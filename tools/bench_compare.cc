@@ -7,10 +7,10 @@
 // Simulated metrics are deterministic functions of (scale, sources), so
 // the default comparison is exact on the JSON number (the sink emits
 // shortest-round-trip doubles; equal simulations produce equal bytes).
-// Wall-clock-derived metrics -- anything in edges/s, any metric named
-// *per_sec* or *duration*, and speedup_vs_virtual -- are machine-
-// dependent and get a relative tolerance of 20% unless --tolerance
-// overrides it for that metric name (PCT may be fractional; 0 = exact).
+// Wall-clock-derived metrics -- anything in edges/s and any metric
+// named *per_sec* or *duration* -- are machine-dependent and get a
+// relative tolerance of 20% unless --tolerance overrides it for that
+// metric name (PCT may be fractional; 0 = exact).
 //
 // Exit codes: 0 reports match, 1 metric mismatch / missing metric,
 // 2 usage, I/O, parse, or incomparable runs (different experiment id,
@@ -58,8 +58,8 @@ int Usage() {
       "[--tolerance METRIC=PCT]...\n"
       "\n"
       "Compares two emogi-bench-report documents. Simulated metrics must\n"
-      "match exactly; wall-clock metrics (edges/s, *per_sec*, *duration*,\n"
-      "speedup_vs_virtual) default to a 20%% relative tolerance.\n");
+      "match exactly; wall-clock metrics (edges/s, *per_sec*, *duration*)\n"
+      "default to a 20%% relative tolerance.\n");
   return 2;
 }
 
@@ -133,8 +133,7 @@ bool CollectMetrics(const JsonValue& root, const std::string& path,
 bool IsWallClockMetric(const MetricKey& key, const MetricEntry& entry) {
   return entry.unit == "edges/s" ||
          key.metric.find("per_sec") != std::string::npos ||
-         key.metric.find("duration") != std::string::npos ||
-         key.metric == "speedup_vs_virtual";
+         key.metric.find("duration") != std::string::npos;
 }
 
 }  // namespace

@@ -124,8 +124,7 @@ struct HistoryEntry {
 bool IsWallClockMetric(const MetricKey& key, const std::string& unit) {
   return unit == "edges/s" ||
          key.metric.find("per_sec") != std::string::npos ||
-         key.metric.find("duration") != std::string::npos ||
-         key.metric == "speedup_vs_virtual";
+         key.metric.find("duration") != std::string::npos;
 }
 
 // Parses one report document (full file or one history line) into an
