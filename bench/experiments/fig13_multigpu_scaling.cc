@@ -45,7 +45,6 @@ ScalingResult RunScaling(const graph::Csr& csr,
   for (const int devices : DeviceCounts()) {
     multigpu::MultiGpuConfig multi;
     multi.devices = devices;
-    multi.threads = 1;  // Sources fan below; device scans run inline.
     const multigpu::MultiDeviceTraversal traversal(csr, config, multi);
     runtime::SweepRunner runner(threads);
     const std::vector<multigpu::MultiDeviceStats> runs =

@@ -8,7 +8,9 @@
 //
 //   queries_per_sec_k{K}          wall-clock host throughput (schema-v2
 //                                 wall-clock metric, machine-dependent),
-//   queries_per_sec_speedup_k{K}  throughput vs the K=1 serving,
+//   queries_per_sec_speedup_k{K}  throughput vs the K=1 serving (every
+//                                 K is served on one host thread, so
+//                                 this is batching's gain alone),
 //   edges_scanned_k{K}            edges the accountants were charged
 //                                 (union frontiers; deterministic),
 //   amortization_k{K}             edges scanned at K=1 divided by edges
@@ -133,7 +135,7 @@ int Run(const RunContext& ctx, Report* report) {
 
       std::vector<std::string> qps_cells, amortization_cells;
       for (const int k : kBatchSizes) {
-        runtime::QueryService service(k, options.threads);
+        runtime::QueryService service(k);
         service.AddGraph(csr, configs[m]);
         runtime::BatchRunStats batch;
         const auto start = std::chrono::steady_clock::now();

@@ -1,6 +1,7 @@
 #include "bench/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -230,6 +231,68 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 bool ParseJson(const std::string& text, JsonValue* value,
                std::string* error) {
   return JsonParser(text).Parse(value, error);
+}
+
+std::string JsonString(const std::string& text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string JsonNumber(double value) {
+  if (!std::isfinite(value)) return "null";
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[40];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
+    double reparsed = 0;
+    std::sscanf(shorter, "%lf", &reparsed);
+    if (reparsed == value) return shorter;
+  }
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+bool ReadFile(const std::string& path, std::string* out) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  char buffer[65536];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    out->append(buffer, got);
+  }
+  const bool ok = std::ferror(file) == 0;
+  std::fclose(file);
+  return ok;
 }
 
 }  // namespace emogi::bench

@@ -1,7 +1,7 @@
-// A minimal JSON reader for the bench sinks' own output: enough to
-// genuinely parse an `emogi-bench-report` document (objects, arrays,
-// strings, numbers, true/false/null) rather than grep it. Consumers are
-// the report round-trip test and tools/bench_compare; this is not a
+// Minimal JSON for the bench reports: a reader enough to genuinely
+// parse an `emogi-bench-report` document rather than grep it, plus the
+// value writers the sinks and tools/bench_history share. Consumers are
+// the sinks, the report tests and the bench tools; this is not a
 // general-purpose JSON library (no \uXXXX beyond control-character
 // skipping, numbers via strtod).
 
@@ -38,6 +38,16 @@ struct JsonValue {
 // and fills *error with a byte-offset diagnostic.
 bool ParseJson(const std::string& text, JsonValue* value,
                std::string* error);
+
+// `text` quoted, with quotes, backslashes and control bytes escaped.
+std::string JsonString(const std::string& text);
+
+// The shortest representation that round-trips `value` exactly; "null"
+// for NaN and infinities, which JSON cannot spell.
+std::string JsonNumber(double value);
+
+// Appends the whole file at `path` to *out; false on an I/O error.
+bool ReadFile(const std::string& path, std::string* out);
 
 }  // namespace emogi::bench
 

@@ -35,6 +35,12 @@ void Report::Metric(const std::string& symbol, const std::string& mode,
   metrics_.push_back(MetricRow{symbol, mode, metric, value, unit});
 }
 
+bool IsWallClockMetric(const std::string& metric, const std::string& unit) {
+  return unit == kUnitEdgesPerSec ||
+         metric.find("per_sec") != std::string::npos ||
+         metric.find("duration") != std::string::npos;
+}
+
 std::string BuildVersion() {
 #ifdef EMOGI_BUILD_VERSION
   return EMOGI_BUILD_VERSION;

@@ -26,6 +26,10 @@ inline constexpr char kReportSchemaName[] = "emogi-bench-report";
 // Unit string for wall-clock scan-throughput metrics.
 inline constexpr char kUnitEdgesPerSec[] = "edges/s";
 
+// True for a wall-clock (machine-dependent) row: unit edges/s or a name
+// containing per_sec or duration. Every other row is deterministic.
+bool IsWallClockMetric(const std::string& metric, const std::string& unit);
+
 // One machine-readable measurement. `symbol` is the dataset symbol (or
 // "" / an aggregate label like "Avg" where no single dataset applies),
 // `mode` the access model or implementation column, `metric` the

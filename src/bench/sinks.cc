@@ -1,7 +1,8 @@
 #include "bench/sinks.h"
 
-#include <cmath>
 #include <cstdio>
+
+#include "bench/json.h"
 
 namespace emogi::bench {
 namespace {
@@ -12,58 +13,6 @@ void AppendPadded(const std::string& text, int width, bool left_justify,
   if (!left_justify && pad > 0) out->append(static_cast<std::size_t>(pad), ' ');
   out->append(text);
   if (left_justify && pad > 0) out->append(static_cast<std::size_t>(pad), ' ');
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonString(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
-}
-
-// Shortest representation that round-trips the double exactly.
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
-    double reparsed = 0;
-    std::sscanf(shorter, "%lf", &reparsed);
-    if (reparsed == value) return shorter;
-  }
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 std::string JsonStringArray(const std::vector<std::string>& items) {

@@ -10,15 +10,18 @@
 //      accountant -- a *static* (monomorphized) accountant selected once
 //      per run from config.mode, exactly like the single-device
 //      DispatchRun, so the per-scan cost model inlines into the scan
-//      loop on every device -- this phase fans across the
-//      runtime::ThreadPool;
-//   3. the policy's Expand runs serially in device order, so the label
-//      updates and the next frontier are deterministic at any thread
-//      count (and, for N=1, identical to the single-device engine);
+//      loop on every device;
+//   3. the policy's Expand runs in device order, so the label updates
+//      and the next frontier are deterministic (and, for N=1, identical
+//      to the single-device engine);
 //   4. discovered vertices owned by another device become boundary
 //      exchange records, charged to the links they cross;
 //   5. the round's wall time is the topology's view of the concurrent
 //      per-device kernels plus the exchange.
+//
+// Devices run one after another on the calling thread; host parallelism
+// belongs to callers fanning independent runs (fig13's sources over
+// runtime::SweepRunner).
 //
 // With devices=1 this degenerates to RunFrontierEngine bit-for-bit: one
 // accountant sees the same OnListScan/CloseKernel sequence, the exchange
@@ -30,7 +33,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/accountant.h"
@@ -41,7 +43,6 @@
 #include "graph/csr.h"
 #include "multigpu/partition.h"
 #include "multigpu/topology.h"
-#include "runtime/thread_pool.h"
 
 namespace emogi::multigpu {
 
@@ -49,9 +50,6 @@ struct MultiGpuConfig {
   int devices = 1;
   PartitionStrategy partition = PartitionStrategy::kEdgeBalanced;
   LinkTopologyConfig topology;
-  // Workers fanning the per-device scan phase (<= 0: hardware default).
-  // One device -- or one thread -- runs inline, never spawning a pool.
-  int threads = 1;
 };
 
 // Per-device view of one run.
@@ -103,13 +101,6 @@ MultiDeviceStats RunMultiDeviceEngineWith(const graph::Csr& csr,
     stats.devices[d].owned_edges = partition.RangeEdges(csr, d);
   }
 
-  // The scan phase is the only parallel part; Expand stays serial, so
-  // the pool is pointless unless both sides of the fan are > 1 wide.
-  const int workers =
-      std::min(runtime::ResolveThreadCount(multi.threads), devices);
-  std::unique_ptr<runtime::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<runtime::ThreadPool>(workers);
-
   std::vector<std::vector<graph::VertexId>> chunks(devices);
   std::vector<std::vector<graph::VertexId>> nexts(devices);
   std::vector<std::uint64_t> scanned(devices);
@@ -126,9 +117,8 @@ MultiDeviceStats RunMultiDeviceEngineWith(const graph::Csr& csr,
       chunks[partition.OwnerOf(v)].push_back(v);
     }
 
-    // Scan phase: disjoint accountants, read-only graph -- safe to fan.
-    runtime::RunBatch(pool.get(), static_cast<std::size_t>(devices),
-                      [&](std::size_t d) {
+    // Scan phase: each device charges its own accountant.
+    for (int d = 0; d < devices; ++d) {
       std::uint64_t edges = 0;
       AccountantT& accountant = accountants[d];
       for (const graph::VertexId v : chunks[d]) {
@@ -141,9 +131,9 @@ MultiDeviceStats RunMultiDeviceEngineWith(const graph::Csr& csr,
         edges += csr.Degree(v);
       }
       scanned[d] = edges;
-    });
+    }
 
-    // Expand phase, serial in device order: deterministic merging.
+    // Expand phase in device order: deterministic merging.
     for (int d = 0; d < devices; ++d) {
       nexts[d].clear();
       for (const graph::VertexId v : chunks[d]) policy.Expand(v, &nexts[d]);

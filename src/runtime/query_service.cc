@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/engine.h"
-#include "runtime/sweep_runner.h"
 
 namespace emogi::runtime {
 namespace {
@@ -17,8 +16,7 @@ struct WavePlan {
 };
 
 // Runs `wave` (number `index`) as one engine run on `csr` and writes
-// each lane's answer into its response slot. Waves own disjoint slots,
-// so concurrent waves never touch the same Response.
+// each lane's answer into its response slot.
 WaveStats RunWave(const graph::Csr& csr, const core::EmogiConfig& config,
                   const WavePlan& wave, int index,
                   const std::vector<Request>& requests,
@@ -115,9 +113,8 @@ double BatchRunStats::SimulatedNs() const {
   return ns;
 }
 
-QueryService::QueryService(int max_lanes, int threads)
-    : max_lanes_(std::clamp(max_lanes, 1, core::kMaxBatchLanes)),
-      threads_(threads) {}
+QueryService::QueryService(int max_lanes)
+    : max_lanes_(std::clamp(max_lanes, 1, core::kMaxBatchLanes)) {}
 
 int QueryService::AddGraph(const graph::Csr& csr,
                            const core::EmogiConfig& config, std::string name) {
@@ -175,12 +172,13 @@ std::vector<Response> QueryService::SubmitBatch(
     }
   }
 
-  std::vector<WaveStats> wave_stats =
-      SweepRunner(threads_).Run(waves.size(), [&](std::size_t w) {
-        const Shard& shard = shards_[waves[w].graph];
-        return RunWave(*shard.csr, shard.config, waves[w],
-                       static_cast<int>(w), requests, &responses);
-      });
+  std::vector<WaveStats> wave_stats;
+  wave_stats.reserve(waves.size());
+  for (std::size_t w = 0; w < waves.size(); ++w) {
+    const Shard& shard = shards_[waves[w].graph];
+    wave_stats.push_back(RunWave(*shard.csr, shard.config, waves[w],
+                                 static_cast<int>(w), requests, &responses));
+  }
   if (stats != nullptr) stats->waves = std::move(wave_stats);
   return responses;
 }

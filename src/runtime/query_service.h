@@ -41,10 +41,10 @@
 //
 // Packing is greedy, shard by shard and then in arrival order, with one
 // open wave per kind flushed at max_lanes, so the wave/lane assignment
-// is a pure function of the batch. Waves are independent engine runs,
-// each with its own cold accountant, so fanning them across `threads`
-// workers is deterministic: answers and per-wave stats are
-// byte-identical at any thread count.
+// is a pure function of the batch. SubmitBatch runs its waves one after
+// another on the caller's thread, each an independent engine run with
+// its own cold accountant; concurrency belongs to callers (net::Listener
+// workers each submit one wave at a time).
 //
 // Queued serving on top of it goes through runtime::Dispatcher
 // (src/runtime/dispatcher.h), driven by serve::Server on a simulated
@@ -134,11 +134,8 @@ struct BatchRunStats {
 class QueryService {
  public:
   // `max_lanes` caps the wave width K, clamped to
-  // [1, core::kMaxBatchLanes]. `threads` (<= 0 for the hardware
-  // default) fans the waves of one SubmitBatch across a pool; 1 runs
-  // them on the caller's thread.
-  explicit QueryService(int max_lanes = core::kMaxBatchLanes,
-                        int threads = 1);
+  // [1, core::kMaxBatchLanes].
+  explicit QueryService(int max_lanes = core::kMaxBatchLanes);
 
   // Registers a resident graph served under `config`; returns its shard
   // id (dense, starting at 0). The CSR must outlive the service.
@@ -181,7 +178,6 @@ class QueryService {
   };
 
   int max_lanes_;
-  int threads_;
   std::vector<Shard> shards_;
 };
 

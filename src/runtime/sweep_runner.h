@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -20,9 +21,7 @@ namespace emogi::runtime {
 class SweepRunner {
  public:
   // `threads` <= 0 picks the hardware default.
-  explicit SweepRunner(int threads);
-
-  int thread_count() const { return threads_; }
+  explicit SweepRunner(int threads) : threads_(ResolveThreadCount(threads)) {}
 
   // Runs fn(0), ..., fn(count - 1) and returns their results in index
   // order. The pool is sized min(threads, count) per call -- a 4-source
@@ -37,20 +36,16 @@ class SweepRunner {
     static_assert(!std::is_same_v<Result, bool>,
                   "SweepRunner::Run cannot return bool; wrap it in a struct");
     std::vector<Result> results(count);
-    if (count == 0) return results;
-    const int workers = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(threads_), count));
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < count; ++i) results[i] = fn(i);
-      return results;
-    }
-
-    ThreadPool pool(workers);
-    RunBatch(&pool, count, [&](std::size_t i) { results[i] = fn(i); });
+    ForEach(count, [&](std::size_t i) { results[i] = fn(i); });
     return results;
   }
 
  private:
+  // Calls fn(0), ..., fn(count - 1) and returns once every call has
+  // returned, with their writes visible to the caller.
+  void ForEach(std::size_t count,
+               const std::function<void(std::size_t)>& fn) const;
+
   int threads_;
 };
 

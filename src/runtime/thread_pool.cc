@@ -35,26 +35,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   wake_.notify_one();
 }
 
-void RunBatch(ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::mutex mutex;
-  std::condition_variable all_done;
-  std::size_t remaining = count;
-  for (std::size_t i = 0; i < count; ++i) {
-    pool->Submit([&, i] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--remaining == 0) all_done.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  all_done.wait(lock, [&] { return remaining == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -1,12 +1,13 @@
 // Fixed-size worker pool with a FIFO task queue. Workers drain the queue
 // until the pool is destroyed; destruction finishes every task already
-// submitted before joining. Tasks must not throw.
+// submitted before joining. Tasks must not throw. Built only by
+// runtime::SweepRunner (per batch of jobs) and net::Listener (its wave
+// workers).
 
 #ifndef EMOGI_RUNTIME_THREAD_POOL_H_
 #define EMOGI_RUNTIME_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -18,16 +19,6 @@ namespace emogi::runtime {
 // `threads` <= 0 picks the hardware default (hardware_concurrency,
 // clamped >= 1).
 int ResolveThreadCount(int threads);
-
-class ThreadPool;
-
-// Runs fn(0), ..., fn(count - 1) on `pool` and blocks until every call
-// has returned (the wait publishes the tasks' writes to the caller). A
-// null pool or count <= 1 runs inline on the calling thread: the
-// degenerate single-worker case must never pay pool overhead nor touch
-// another thread (EMOGI_THREADS=1 stays trivially TSan-clean).
-void RunBatch(ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& fn);
 
 class ThreadPool {
  public:

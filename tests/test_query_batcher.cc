@@ -12,17 +12,19 @@
 //      K x 1-lane exactly -- see core/batched.h for why live-relaxation
 //      visit counts can differ).
 //  (c) QueryService::SubmitBatch: results in input order, wave packing
-//      respects K, and the whole serving -- results, per-query visit
-//      counts, and per-wave TraversalStats -- is byte-identical at every
-//      thread count (the TSan CI job runs this file to prove the wave
-//      fan-out is also race-free).
+//      respects K, and concurrent calls on one shared service -- the
+//      net::Listener pattern -- each return results, per-query visit
+//      counts and per-wave TraversalStats byte-identical to the serial
+//      call (the TSan CI job runs this file to prove them race-free).
 //  (d) Amortization accounting: union_edges <= sum of lane edges, with
 //      equality exactly when no scan was shared.
 //  (e) Routing: a mixed batch over two shards is numbered shard-major,
 //      every wave names its shard, bad requests fail alone, and every
 //      answer equals a single-shard service's.
 
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "core/batched.h"
@@ -156,9 +158,8 @@ void TestDivergentFrontiersScanSeparately() {
 
 // A service over `csr` alone: the graph every request names as 0.
 runtime::QueryService OneShard(const graph::Csr& csr,
-                               const core::EmogiConfig& config, int k,
-                               int threads = 1) {
-  runtime::QueryService service(k, threads);
+                               const core::EmogiConfig& config, int k) {
+  runtime::QueryService service(k);
   service.AddGraph(csr, config);
   return service;
 }
@@ -212,7 +213,6 @@ void TestBatchServing() {
     config.device.scale_factor = 1 << 14;
 
     for (const int k : {1, 8, 64}) {
-      // The reference serving: one worker.
       runtime::BatchRunStats reference_stats;
       const std::vector<runtime::Response> reference =
           OneShard(csr, config, k).SubmitBatch(queries, &reference_stats);
@@ -240,17 +240,6 @@ void TestBatchServing() {
           CHECK(r.distances == single.distances());
         }
       }
-
-      // Byte-identical serving at any pool size (the EMOGI_THREADS
-      // seam): results, per-query visit counts, per-wave stats.
-      for (const int threads : {2, 5}) {
-        runtime::BatchRunStats pooled_stats;
-        const std::vector<runtime::Response> results =
-            OneShard(csr, config, k, threads).SubmitBatch(queries,
-                                                          &pooled_stats);
-        CHECK(ResultsEqual(results, reference));
-        CHECK(WaveStatsEqual(pooled_stats, reference_stats));
-      }
     }
 
     // Per-query visit counts are K-invariant (the lane-exactness
@@ -270,6 +259,53 @@ void TestBatchServing() {
     CHECK(k1_stats.EdgesScanned() == lane_edge_sum);
     CHECK(k64_stats.EdgesScanned() <= lane_edge_sum);
     CHECK(k64_stats.waves.size() < k1_stats.waves.size());
+  }
+}
+
+// net::Listener's pattern: kCallers threads call SubmitBatch at once on
+// one shared const service (two shards, BFS/SSSP/CC waves), each with
+// its own rotation of one batch, so the callers pack different waves.
+// Every call must return exactly what the serial call of its batch
+// does -- answers, wave/lane assignment and per-wave stats.
+void TestConcurrentSubmitBatch() {
+  constexpr int kCallers = 4;
+  const graph::Csr csr = graph::LoadOrGenerateDataset("GK", 16384);
+  core::EmogiConfig merged = core::EmogiConfig::MergedAligned();
+  core::EmogiConfig uvm = core::EmogiConfig::Uvm();
+  merged.device.scale_factor = uvm.device.scale_factor = 1 << 14;
+  runtime::QueryService service(8);
+  service.AddGraph(csr, merged);
+  service.AddGraph(csr, uvm);
+  const runtime::QueryService& shared = service;
+
+  std::vector<runtime::Request> queries = MixedQueries(csr, 23);
+  for (runtime::Request request : MixedQueries(csr, 11)) {
+    request.graph = 1;
+    queries.push_back(request);
+  }
+  queries.push_back({runtime::QueryKind::kCc, 0, 0});
+  queries.push_back({runtime::QueryKind::kCc, 0, 1});
+
+  std::vector<std::vector<runtime::Request>> batches(kCallers, queries);
+  std::vector<std::vector<runtime::Response>> serial(kCallers);
+  std::vector<runtime::BatchRunStats> serial_stats(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    std::rotate(batches[t].begin(), batches[t].begin() + 5 * t,
+                batches[t].end());
+    serial[t] = shared.SubmitBatch(batches[t], &serial_stats[t]);
+  }
+
+  std::vector<std::vector<runtime::Response>> results(kCallers);
+  std::vector<runtime::BatchRunStats> stats(kCallers);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back(
+        [&, t] { results[t] = shared.SubmitBatch(batches[t], &stats[t]); });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) {
+    CHECK(ResultsEqual(results[t], serial[t]));
+    CHECK(WaveStatsEqual(stats[t], serial_stats[t]));
   }
 }
 
@@ -471,6 +507,7 @@ int main() {
   emogi::TestBatchedPolicyParity();
   emogi::TestDivergentFrontiersScanSeparately();
   emogi::TestBatchServing();
+  emogi::TestConcurrentSubmitBatch();
   emogi::TestInvalidSourceFailsAlone();
   emogi::TestCcWaveSharing();
   emogi::TestMixedShardRouting();

@@ -54,39 +54,31 @@ void TestRunnerOrdering() {
   CHECK(empty_ok.Run(0, [](std::size_t i) { return i; }).empty());
 }
 
-// The degenerate cases must stay inline: a single-worker SweepRunner
-// batch and a null-pool RunBatch both execute every job on the calling
+// The degenerate cases must stay inline: a single-thread runner and a
+// one-job batch on a wider runner both execute every job on the calling
 // thread, spawning nothing (EMOGI_THREADS=1 pays no pool overhead and is
 // single-threaded under TSan by construction).
 void TestSingleWorkerRunsInline() {
   const std::thread::id caller = std::this_thread::get_id();
+  const auto thread_id = [](std::size_t) { return std::this_thread::get_id(); };
 
-  runtime::SweepRunner runner(1);
-  const std::vector<std::thread::id> sweep_ids =
-      runner.Run(8, [](std::size_t) { return std::this_thread::get_id(); });
-  for (const std::thread::id id : sweep_ids) CHECK(id == caller);
-
-  std::vector<std::thread::id> batch_ids(8);
-  runtime::RunBatch(nullptr, 8, [&](std::size_t i) {
-    batch_ids[i] = std::this_thread::get_id();
-  });
-  for (const std::thread::id id : batch_ids) CHECK(id == caller);
-
-  // A one-job batch runs inline even with a live pool.
-  runtime::ThreadPool pool(2);
-  std::thread::id one_job_id;
-  runtime::RunBatch(&pool, 1, [&](std::size_t) {
-    one_job_id = std::this_thread::get_id();
-  });
-  CHECK(one_job_id == caller);
+  for (const std::thread::id id : runtime::SweepRunner(1).Run(8, thread_id)) {
+    CHECK(id == caller);
+  }
+  const std::vector<std::thread::id> one_job =
+      runtime::SweepRunner(4).Run(1, thread_id);
+  CHECK(one_job.size() == 1 && one_job[0] == caller);
 }
 
-// RunBatch on a real pool runs every job and publishes its writes.
-void TestRunBatchOnPool() {
-  runtime::ThreadPool pool(4);
-  std::vector<std::size_t> out(100, 0);
-  runtime::RunBatch(&pool, 100, [&](std::size_t i) { out[i] = i * i; });
-  for (std::size_t i = 0; i < 100; ++i) CHECK(out[i] == i * i);
+// A pooled Run publishes every write its jobs made, not only their
+// results, to the caller once it returns.
+void TestRunnerPublishesWrites() {
+  std::vector<std::size_t> side(100, 0);
+  runtime::SweepRunner(4).Run(100, [&](std::size_t i) {
+    side[i] = i * i;
+    return i;
+  });
+  for (std::size_t i = 0; i < side.size(); ++i) CHECK(side[i] == i * i);
 }
 
 // The process-lifetime dataset cache must serve concurrent workers: all
@@ -134,7 +126,7 @@ int main() {
   emogi::TestResolveThreadCount();
   emogi::TestRunnerOrdering();
   emogi::TestSingleWorkerRunsInline();
-  emogi::TestRunBatchOnPool();
+  emogi::TestRunnerPublishesWrites();
   emogi::TestConcurrentDatasetCache();
   emogi::TestSweepDeterminism();
   std::printf("test_sweep_runner: OK\n");

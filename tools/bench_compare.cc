@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/json.h"
+#include "bench/report.h"
 
 namespace emogi {
 namespace {
@@ -63,23 +64,10 @@ int Usage() {
   return 2;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char buffer[65536];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out->append(buffer, got);
-  }
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  return ok;
-}
-
 // Loads `path`, requiring a single-report document of the known schema.
 bool LoadReport(const std::string& path, JsonValue* root) {
   std::string text;
-  if (!ReadFile(path, &text)) {
+  if (!bench::ReadFile(path, &text)) {
     std::fprintf(stderr, "bench_compare: cannot read %s\n", path.c_str());
     return false;
   }
@@ -126,14 +114,6 @@ bool CollectMetrics(const JsonValue& root, const std::string& path,
     (*metrics)[key] = entry;
   }
   return true;
-}
-
-// Wall-clock-derived metrics are the only nondeterministic rows in a
-// report (schema v2 marks throughput via the edges/s unit).
-bool IsWallClockMetric(const MetricKey& key, const MetricEntry& entry) {
-  return entry.unit == "edges/s" ||
-         key.metric.find("per_sec") != std::string::npos ||
-         key.metric.find("duration") != std::string::npos;
 }
 
 }  // namespace
@@ -223,7 +203,8 @@ int Main(int argc, char** argv) {
     }
     const MetricEntry& actual = found->second;
     ++compared;
-    double tolerance_pct = IsWallClockMetric(key, expected) ? 20.0 : 0.0;
+    double tolerance_pct =
+        bench::IsWallClockMetric(key.metric, expected.unit) ? 20.0 : 0.0;
     const auto override_it = tolerance_by_metric.find(key.metric);
     if (override_it != tolerance_by_metric.end()) {
       tolerance_pct = override_it->second;

@@ -25,11 +25,14 @@
 #include <vector>
 
 #include "bench/json.h"
+#include "bench/report.h"
 #include "io/ingest.h"
 
 namespace emogi {
 namespace {
 
+using bench::JsonNumber;
+using bench::JsonString;
 using bench::JsonValue;
 
 int Usage() {
@@ -42,55 +45,6 @@ int Usage() {
       "recorded entries. --dry-run prints the trajectory the append\n"
       "would produce without writing anything.\n");
   return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char buffer[65536];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out->append(buffer, got);
-  }
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  return ok;
-}
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
-
-std::string JsonNumber(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  // Shortest round trip: drop precision digits while the value survives.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
-    double parsed = 0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == value) return shorter;
-  }
-  return buffer;
 }
 
 struct MetricKey {
@@ -118,14 +72,6 @@ struct HistoryEntry {
   std::map<MetricKey, double> metrics;
   std::map<MetricKey, std::string> units;
 };
-
-// Wall-clock-derived rows, bench_compare's definition: tracked in the
-// ledger but never treated as drift.
-bool IsWallClockMetric(const MetricKey& key, const std::string& unit) {
-  return unit == "edges/s" ||
-         key.metric.find("per_sec") != std::string::npos ||
-         key.metric.find("duration") != std::string::npos;
-}
 
 // Parses one report document (full file or one history line) into an
 // entry. Both carry the same experiment/run/metrics shape.
@@ -216,8 +162,8 @@ void PrintTrajectory(const std::string& id,
   std::vector<std::string> drifting;
   for (const auto& [key, value] : newest.metrics) {
     const auto unit = newest.units.find(key);
-    if (IsWallClockMetric(key, unit == newest.units.end() ? ""
-                                                          : unit->second)) {
+    if (bench::IsWallClockMetric(
+            key.metric, unit == newest.units.end() ? "" : unit->second)) {
       ++wall_clock;
       continue;
     }
@@ -290,7 +236,7 @@ int Main(int argc, char** argv) {
   if (report_path.empty()) return Usage();
 
   std::string text;
-  if (!ReadFile(report_path, &text)) {
+  if (!bench::ReadFile(report_path, &text)) {
     std::fprintf(stderr, "bench_history: cannot read %s\n",
                  report_path.c_str());
     return 2;
@@ -323,7 +269,7 @@ int Main(int argc, char** argv) {
   const std::string ledger_path = history_dir + "/" + id + ".jsonl";
   std::vector<HistoryEntry> entries;
   std::string ledger_text;
-  if (ReadFile(ledger_path, &ledger_text)) {
+  if (bench::ReadFile(ledger_path, &ledger_text)) {
     std::size_t pos = 0;
     int line_number = 0;
     while (pos < ledger_text.size()) {
