@@ -7,7 +7,6 @@
 #include "bench/format.h"
 #include "bench/registry.h"
 #include "bench/workload.h"
-#include "graph/degree_stats.h"
 
 namespace emogi::bench {
 namespace {

@@ -33,7 +33,9 @@
 // ignore the allocation size. tests/test_pcie_model.cc checks both
 // against a plain oracle built from sim::ForEachSpanRequest,
 // PcieTimingModel::RequestWireNs and uvm::PageTable, with `==` on every
-// double.
+// double. It also checks every zero-copy window the oracle walks against
+// an independent per-lane coalescer (touched sectors deduplicated, then
+// merged within a cacheline): the requests must be the same pieces.
 
 #ifndef EMOGI_CORE_STATIC_ACCOUNTANT_H_
 #define EMOGI_CORE_STATIC_ACCOUNTANT_H_

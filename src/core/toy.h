@@ -1,4 +1,4 @@
-// The toy 1D-array copy microbenchmark of figures 3 and 4: copy a
+// The toy 1D-array copy kernel of figures 3 and 4: copy a
 // host-pinned array into device memory with a grid of warps, under the
 // three zero-copy access patterns the paper contrasts, plus the UVM
 // reference. Everything is closed-form over the PCIe model -- the array

@@ -59,7 +59,7 @@ struct GeneratorSpec {
 // sorted uniform-random neighbor ids.
 Csr Generate(const GeneratorSpec& spec);
 
-// Convenience used by the microbenches: uniform degrees in
+// Convenience used by the unit tests: uniform degrees in
 // [avg_degree/2, 3*avg_degree/2].
 Csr GenerateUniformRandom(VertexId vertices, double avg_degree,
                           std::uint64_t seed);

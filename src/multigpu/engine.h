@@ -48,7 +48,6 @@ namespace emogi::multigpu {
 
 struct MultiGpuConfig {
   int devices = 1;
-  PartitionStrategy partition = PartitionStrategy::kEdgeBalanced;
   LinkTopologyConfig topology;
 };
 
@@ -82,7 +81,7 @@ MultiDeviceStats RunMultiDeviceEngineWith(const graph::Csr& csr,
                                           const MultiGpuConfig& multi,
                                           Policy& policy) {
   const int devices = std::max(1, multi.devices);
-  const Partition partition = MakePartition(csr, devices, multi.partition);
+  const Partition partition = MakePartition(csr, devices);
   const LinkTopology topology(multi.topology, config.device.link);
   const std::uint64_t weight_base = core::WeightBase(csr);
   const std::uint32_t record_bytes = multi.topology.exchange_record_bytes;

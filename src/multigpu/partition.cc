@@ -6,16 +6,6 @@
 
 namespace emogi::multigpu {
 
-const char* ToString(PartitionStrategy strategy) {
-  switch (strategy) {
-    case PartitionStrategy::kVertexBalanced:
-      return "vertex-balanced";
-    case PartitionStrategy::kEdgeBalanced:
-      return "edge-balanced";
-  }
-  return "?";
-}
-
 Partition::Partition(std::vector<graph::VertexId> bounds)
     : bounds_(std::move(bounds)) {
   if (bounds_.size() < 2 || bounds_.front() != 0 ||
@@ -31,25 +21,16 @@ int Partition::OwnerOf(graph::VertexId v) const {
   return static_cast<int>(it - bounds_.begin()) - 1;
 }
 
-Partition MakePartition(const graph::Csr& csr, int devices,
-                        PartitionStrategy strategy) {
+Partition MakePartition(const graph::Csr& csr, int devices) {
   const graph::VertexId vertices = csr.num_vertices();
   const int n = std::max(1, devices);
   std::vector<graph::VertexId> bounds(n + 1, vertices);
   bounds[0] = 0;
 
-  if (strategy == PartitionStrategy::kVertexBalanced || csr.num_edges() == 0) {
-    for (int d = 1; d < n; ++d) {
-      bounds[d] = static_cast<graph::VertexId>(
-          static_cast<std::uint64_t>(vertices) * d / n);
-    }
-    return Partition(std::move(bounds));
-  }
-
-  // Edge-balanced: the CSR offset array is already the prefix sum of
-  // degrees, so the cut for device d is the first vertex whose offset
-  // reaches d/n of the edge list. Cuts are clamped monotone so a single
-  // huge hub cannot make ranges overlap.
+  // The CSR offset array is already the prefix sum of degrees, so the
+  // cut for device d is the first vertex whose offset reaches d/n of the
+  // edge list. Cuts are clamped monotone so a single huge hub cannot
+  // make ranges overlap.
   const graph::ConstSpan<graph::EdgeIndex> offsets = csr.offsets();
   for (int d = 1; d < n; ++d) {
     const graph::EdgeIndex target = csr.num_edges() / n * d;

@@ -1,16 +1,12 @@
 // Graph partitioning for the multi-GPU simulation: each simulated device
 // owns one contiguous vertex-id range (and with it that range's rows of
 // the CSR edge list, the layout EMOGI's multi-GPU BFS shards across
-// devices). Two strategies:
-//
-//   * kVertexBalanced -- equal vertex counts per device. Simple, but on
-//     skewed graphs one device can own most of the edges.
-//   * kEdgeBalanced   -- cut points chosen on the CSR offset array (the
-//     prefix sum of degrees) so every device owns a near-equal share of
-//     *scanned-edge work*, the cover-balancing idea K-Join applies to
-//     parallel work division. A hub-heavy range may still exceed the
-//     ideal share by one vertex's degree: cuts land on vertex
-//     boundaries, never inside a neighbor list.
+// devices). Cut points are chosen on the CSR offset array (the prefix
+// sum of degrees) so every device owns a near-equal share of
+// *scanned-edge work*, the cover-balancing idea K-Join applies to
+// parallel work division. A hub-heavy range may still exceed the ideal
+// share by one vertex's degree: cuts land on vertex boundaries, never
+// inside a neighbor list.
 
 #ifndef EMOGI_MULTIGPU_PARTITION_H_
 #define EMOGI_MULTIGPU_PARTITION_H_
@@ -21,10 +17,6 @@
 #include "graph/csr.h"
 
 namespace emogi::multigpu {
-
-enum class PartitionStrategy { kVertexBalanced, kEdgeBalanced };
-
-const char* ToString(PartitionStrategy strategy);
 
 // Contiguous vertex ranges: device d owns [Begin(d), End(d)). The bounds
 // are monotone with Begin(0) == 0 and End(devices-1) == V, so every
@@ -56,10 +48,10 @@ class Partition {
   std::vector<graph::VertexId> bounds_;
 };
 
-// Splits `csr` into `devices` contiguous ranges (devices < 1 is treated
-// as 1).
-Partition MakePartition(const graph::Csr& csr, int devices,
-                        PartitionStrategy strategy);
+// Splits `csr` into `devices` edge-balanced contiguous ranges
+// (devices < 1 is treated as 1). On an edgeless graph every cut is 0, so
+// the last device owns all vertices.
+Partition MakePartition(const graph::Csr& csr, int devices);
 
 }  // namespace emogi::multigpu
 

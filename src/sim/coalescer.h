@@ -4,41 +4,32 @@
 // split by the coalescing unit into PCIe read requests: the 128-byte
 // cacheline is the largest request, and requests are built from 32-byte
 // sectors, so every request is one of 32/64/96/128 bytes and never
-// crosses a cacheline boundary. This file models that splitting for the
-// two shapes the traversal kernels produce: a contiguous byte span (the
-// merged, warp-per-vertex kernels) and a set of per-lane addresses (the
-// general case, e.g. the naive vertex-per-thread kernel).
+// crosses a cacheline boundary. The merged kernels' warps read
+// contiguous byte spans (a worker's window of a neighbor list), so this
+// file models the splitting of one span. (The naive kernel's lone-lane
+// loads are one 32B sector each; the accountant charges those directly.)
 
 #ifndef EMOGI_SIM_COALESCER_H_
 #define EMOGI_SIM_COALESCER_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace emogi::sim {
 
 using Addr = std::uint64_t;
 
 inline constexpr int kWarpSize = 32;
-inline constexpr std::uint32_t kFullLaneMask = 0xffffffffu;
 inline constexpr Addr kSectorBytes = 32;
 inline constexpr Addr kCachelineBytes = 128;
 
-// One PCIe read request produced by the coalescer: `bytes` is a multiple
-// of kSectorBytes in [32, 128] and [addr, addr+bytes) never crosses a
-// 128-byte cacheline boundary.
-struct Transaction {
-  Addr addr = 0;
-  std::uint32_t bytes = 0;
-};
-
 // Splits the byte span [begin, end) into sector-rounded,
-// cacheline-bounded requests, calling fn(addr, bytes) for each. This is
-// the one definition of the splitting arithmetic: Coalescer::CoalesceSpan
-// materializes the transactions through it. The zero-copy accountant
+// cacheline-bounded requests, calling fn(addr, bytes) for each: `bytes`
+// is a multiple of kSectorBytes in [32, 128] and [addr, addr+bytes)
+// never crosses a cacheline boundary. This is the one definition of the
+// splitting arithmetic. The zero-copy accountant
 // (core/static_accountant.h) emits the same sequence in straight-line
-// form without allocating, and tests/test_pcie_model.cc checks it
-// against this loop.
+// form without allocating; tests/test_pcie_model.cc checks it against
+// this loop, and this loop against a per-lane sector coalescer.
 template <typename Fn>
 inline void ForEachSpanRequest(Addr begin, Addr end, Fn&& fn) {
   if (begin >= end) return;
@@ -53,20 +44,6 @@ inline void ForEachSpanRequest(Addr begin, Addr end, Fn&& fn) {
     cursor = piece_end;
   }
 }
-
-class Coalescer {
- public:
-  // Splits the byte span [begin, end) into sector-rounded, cacheline-bounded
-  // transactions and appends them to `out`.
-  static void CoalesceSpan(Addr begin, Addr end, std::vector<Transaction>* out);
-
-  // Coalesces one warp instruction: active lane i (bit i of `mask`) reads
-  // [lanes[i], lanes[i] + elem_bytes). Touched sectors are deduplicated and
-  // contiguous sectors within a cacheline merge into one transaction.
-  static void CoalesceLanes(const Addr lanes[kWarpSize], std::uint32_t mask,
-                            std::uint32_t elem_bytes,
-                            std::vector<Transaction>* out);
-};
 
 }  // namespace emogi::sim
 

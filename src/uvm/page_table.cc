@@ -5,19 +5,9 @@
 namespace emogi::uvm {
 
 PageTable::PageTable(std::uint64_t num_pages, std::uint64_t resident_capacity)
-    : num_pages_(num_pages),
-      capacity_(std::max<std::uint64_t>(1, resident_capacity)),
+    : capacity_(std::max<std::uint64_t>(1, resident_capacity)),
       resident_(num_pages, 0) {
-  fifo_.reserve(static_cast<std::size_t>(std::min(num_pages_, capacity_)));
-}
-
-void PageTable::Reset() {
-  std::fill(resident_.begin(), resident_.end(), 0);
-  fifo_.clear();
-  fifo_head_ = 0;
-  faults_ = 0;
-  hits_ = 0;
-  evictions_ = 0;
+  fifo_.reserve(static_cast<std::size_t>(std::min(num_pages, capacity_)));
 }
 
 }  // namespace emogi::uvm

@@ -23,16 +23,11 @@ class PageTable {
   // the monomorphized UVM accountant calls this once per touched page per
   // scan, and the resident-hit early return is the common case.
   bool Touch(std::uint64_t page) {
-    if (resident_[page]) {
-      ++hits_;
-      return false;
-    }
-    ++faults_;
+    if (resident_[page]) return false;
     if (fifo_.size() < capacity_) {
       fifo_.push_back(page);
     } else {
       resident_[fifo_[fifo_head_]] = 0;
-      ++evictions_;
       fifo_[fifo_head_] = page;
       fifo_head_ = (fifo_head_ + 1) % fifo_.size();
     }
@@ -40,23 +35,11 @@ class PageTable {
     return true;
   }
 
-  std::uint64_t faults() const { return faults_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t resident_pages() const { return fifo_.size(); }
-
-  // Drops all residency and counters (fresh kernel sequence).
-  void Reset();
-
  private:
-  std::uint64_t num_pages_;
   std::uint64_t capacity_;
   std::vector<std::uint8_t> resident_;
   std::vector<std::uint64_t> fifo_;  // Ring buffer of resident pages.
   std::size_t fifo_head_ = 0;
-  std::uint64_t faults_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace emogi::uvm

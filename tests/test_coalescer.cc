@@ -1,5 +1,6 @@
-// Coalescer unit tests: sector rounding, cacheline splitting, lane
-// deduplication, and the monotonicity the model's conclusions rest on.
+// Span-splitting unit tests for sim::ForEachSpanRequest: sector
+// rounding, cacheline splitting, and the alignment monotonicity the
+// model's conclusions rest on.
 
 #include <cstdio>
 #include <vector>
@@ -11,28 +12,38 @@ namespace emogi {
 namespace {
 
 using sim::Addr;
-using sim::Coalescer;
-using sim::Transaction;
 
-std::uint64_t TotalBytes(const std::vector<Transaction>& transactions) {
+struct Request {
+  Addr addr = 0;
+  std::uint32_t bytes = 0;
+};
+
+std::vector<Request> SplitSpan(Addr begin, Addr end) {
+  std::vector<Request> out;
+  sim::ForEachSpanRequest(begin, end, [&out](Addr addr, std::uint32_t bytes) {
+    out.push_back({addr, bytes});
+  });
+  return out;
+}
+
+std::uint64_t TotalBytes(const std::vector<Request>& requests) {
   std::uint64_t total = 0;
-  for (const Transaction& t : transactions) total += t.bytes;
+  for (const Request& r : requests) total += r.bytes;
   return total;
 }
 
-void CheckWellFormed(const std::vector<Transaction>& transactions) {
-  for (const Transaction& t : transactions) {
-    CHECK(t.bytes >= 32 && t.bytes <= 128);
-    CHECK(t.bytes % 32 == 0);
-    CHECK(t.addr % 32 == 0);
+void CheckWellFormed(const std::vector<Request>& requests) {
+  for (const Request& r : requests) {
+    CHECK(r.bytes >= 32 && r.bytes <= 128);
+    CHECK(r.bytes % 32 == 0);
+    CHECK(r.addr % 32 == 0);
     // Never crosses a cacheline boundary.
-    CHECK(t.addr / 128 == (t.addr + t.bytes - 1) / 128);
+    CHECK(r.addr / 128 == (r.addr + r.bytes - 1) / 128);
   }
 }
 
 void TestSpanAligned() {
-  std::vector<Transaction> out;
-  Coalescer::CoalesceSpan(0, 256, &out);
+  const std::vector<Request> out = SplitSpan(0, 256);
   CHECK(out.size() == 2);
   CHECK(out[0].bytes == 128 && out[1].bytes == 128);
   CheckWellFormed(out);
@@ -41,8 +52,7 @@ void TestSpanAligned() {
 void TestSpanMisaligned() {
   // The paper's 32B+96B split: a 256B window starting one sector past a
   // cacheline boundary covers 3 lines as 96 + 128 + 32.
-  std::vector<Transaction> out;
-  Coalescer::CoalesceSpan(32, 288, &out);
+  const std::vector<Request> out = SplitSpan(32, 288);
   CHECK(out.size() == 3);
   CHECK(out[0].bytes == 96);
   CHECK(out[1].bytes == 128);
@@ -52,72 +62,25 @@ void TestSpanMisaligned() {
 
 void TestSpanSubSector() {
   // An 8-byte read still costs a full sector.
-  std::vector<Transaction> out;
-  Coalescer::CoalesceSpan(8, 16, &out);
+  std::vector<Request> out = SplitSpan(8, 16);
   CHECK(out.size() == 1);
   CHECK(out[0].bytes == 32);
   // A read straddling a sector boundary costs both sectors (merged into
   // one 64B request within the cacheline).
-  out.clear();
-  Coalescer::CoalesceSpan(28, 36, &out);
+  out = SplitSpan(28, 36);
   CHECK(out.size() == 1);
   CHECK(TotalBytes(out) == 64);
   CheckWellFormed(out);
 }
 
-void TestLanesDedupe() {
-  // All 32 lanes read inside one sector -> one 32B transaction.
-  Addr lanes[sim::kWarpSize];
-  for (int i = 0; i < sim::kWarpSize; ++i) lanes[i] = 0;
-  std::vector<Transaction> out;
-  Coalescer::CoalesceLanes(lanes, sim::kFullLaneMask, 8, &out);
-  CHECK(out.size() == 1);
-  CHECK(out[0].bytes == 32);
-}
-
-void TestLanesContiguous() {
-  // 32 lanes * 8B contiguous from an aligned base -> two 128B requests.
-  Addr lanes[sim::kWarpSize];
-  for (int i = 0; i < sim::kWarpSize; ++i) {
-    lanes[i] = static_cast<Addr>(i) * 8;
-  }
-  std::vector<Transaction> out;
-  Coalescer::CoalesceLanes(lanes, sim::kFullLaneMask, 8, &out);
-  CHECK(out.size() == 2);
-  CHECK(out[0].bytes == 128 && out[1].bytes == 128);
-  CheckWellFormed(out);
-}
-
-void TestLanesScattered() {
-  // Scattered lanes (one per cacheline) -> one sector request each.
-  Addr lanes[sim::kWarpSize];
-  for (int i = 0; i < sim::kWarpSize; ++i) {
-    lanes[i] = static_cast<Addr>(i) * 4096;
-  }
-  std::vector<Transaction> out;
-  Coalescer::CoalesceLanes(lanes, sim::kFullLaneMask, 8, &out);
-  CHECK(out.size() == sim::kWarpSize);
-  for (const Transaction& t : out) CHECK(t.bytes == 32);
-}
-
-void TestLanesMaskRespected() {
-  Addr lanes[sim::kWarpSize] = {};
-  std::vector<Transaction> out;
-  Coalescer::CoalesceLanes(lanes, 0, 8, &out);
-  CHECK(out.empty());
-}
-
 void TestAlignmentMonotonicity() {
-  // More coalescing opportunity => fewer transactions: an aligned span
-  // never takes more transactions than any misaligned placement of the
-  // same length.
+  // More coalescing opportunity => fewer requests: an aligned span
+  // never takes more requests than any misaligned placement of the same
+  // length.
   for (const Addr length : {96ull, 256ull, 1000ull, 4096ull}) {
-    std::vector<Transaction> aligned;
-    Coalescer::CoalesceSpan(0, length, &aligned);
+    const std::size_t aligned = SplitSpan(0, length).size();
     for (Addr shift = 8; shift < 128; shift += 8) {
-      std::vector<Transaction> shifted;
-      Coalescer::CoalesceSpan(shift, shift + length, &shifted);
-      CHECK(aligned.size() <= shifted.size());
+      CHECK(aligned <= SplitSpan(shift, shift + length).size());
     }
   }
 }
@@ -129,10 +92,6 @@ int main() {
   emogi::TestSpanAligned();
   emogi::TestSpanMisaligned();
   emogi::TestSpanSubSector();
-  emogi::TestLanesDedupe();
-  emogi::TestLanesContiguous();
-  emogi::TestLanesScattered();
-  emogi::TestLanesMaskRespected();
   emogi::TestAlignmentMonotonicity();
   std::printf("test_coalescer: OK\n");
   return 0;

@@ -1,7 +1,8 @@
 // Multi-GPU subsystem invariants: partitions cover every vertex exactly
-// once and the edge-balanced strategy stays near the ideal scanned-edge
-// share even on skewed graphs; the 1-device MultiDeviceEngine is
-// byte-identical to the single-device engine for all four access modes;
+// once and the edge-balanced cuts stay near the ideal scanned-edge
+// share even on skewed graphs, and edgeless graphs still partition and
+// traverse; the 1-device MultiDeviceEngine is byte-identical to the
+// single-device engine for all four access modes;
 // N-device runs still compute oracle answers and charge a nonzero
 // boundary exchange.
 
@@ -36,10 +37,8 @@ void CheckStatsIdentical(const core::TraversalStats& a,
   CHECK(a == b);
 }
 
-void CheckPartitionInvariants(const graph::Csr& csr, int devices,
-                              multigpu::PartitionStrategy strategy) {
-  const multigpu::Partition partition =
-      multigpu::MakePartition(csr, devices, strategy);
+void CheckPartitionInvariants(const graph::Csr& csr, int devices) {
+  const multigpu::Partition partition = multigpu::MakePartition(csr, devices);
   CHECK(partition.devices() == devices);
   // Contiguous ranges cover [0, V) exactly once.
   CHECK(partition.Begin(0) == 0);
@@ -65,36 +64,60 @@ void CheckPartitionInvariants(const graph::Csr& csr, int devices,
 }
 
 void TestPartitioner() {
-  // A heavy-tailed Pareto analog: hubs make vertex-balanced splits
-  // lopsided, which is exactly what the edge-balanced strategy fixes.
+  // A heavy-tailed Pareto analog: hubs would make equal-vertex splits
+  // lopsided, which is what edge-balanced cuts avoid.
   const graph::Csr& skewed = graph::LoadOrGenerateDataset("GK", 16384);
   for (const int devices : {1, 2, 3, 4, 8}) {
-    for (const auto strategy : {multigpu::PartitionStrategy::kVertexBalanced,
-                                multigpu::PartitionStrategy::kEdgeBalanced}) {
-      CheckPartitionInvariants(skewed, devices, strategy);
-    }
+    CheckPartitionInvariants(skewed, devices);
   }
 
-  // Edge-balanced: every device's scanned-edge share is within one
-  // vertex's degree of the ideal E/N (cuts land on vertex boundaries),
-  // so max_degree is the stated tolerance.
+  // Every device's scanned-edge share is within one vertex's degree of
+  // the ideal E/N (cuts land on vertex boundaries), so max_degree is the
+  // stated tolerance.
   graph::EdgeIndex max_degree = 0;
   for (graph::VertexId v = 0; v < skewed.num_vertices(); ++v) {
     max_degree = std::max(max_degree, skewed.Degree(v));
   }
   for (const int devices : {2, 4, 8}) {
-    const multigpu::Partition partition = multigpu::MakePartition(
-        skewed, devices, multigpu::PartitionStrategy::kEdgeBalanced);
+    const multigpu::Partition partition =
+        multigpu::MakePartition(skewed, devices);
     const std::uint64_t ideal = skewed.num_edges() / devices;
     for (int d = 0; d < devices; ++d) {
       CHECK(partition.RangeEdges(skewed, d) <= ideal + max_degree);
     }
   }
 
-  // Degenerate shapes stay covered: empty graph, fewer vertices than
-  // devices.
-  CheckPartitionInvariants(graph::Csr({0, 1, 2}, {1, 0}, false, "pair"), 8,
-                           multigpu::PartitionStrategy::kEdgeBalanced);
+  // Degenerate shapes stay covered: fewer vertices than devices, and an
+  // edgeless graph.
+  CheckPartitionInvariants(graph::Csr({0, 1, 2}, {1, 0}, false, "pair"), 8);
+  const graph::Csr edgeless(std::vector<graph::EdgeIndex>(6, 0), {}, false,
+                            "edgeless");
+  for (const int devices : {1, 4, 8}) {
+    CheckPartitionInvariants(edgeless, devices);
+  }
+}
+
+// An edgeless graph takes the edge-balanced cut code too: every cut is 0,
+// so the last device owns every vertex, and multi-device BFS and CC still
+// give the oracle's answers.
+void TestEdgelessGraphs() {
+  for (const graph::VertexId vertices : {1u, 5u, 16u}) {
+    const graph::Csr csr(std::vector<graph::EdgeIndex>(vertices + 1, 0), {},
+                         false, "edgeless");
+    const auto ref_levels = ref::BfsLevels(csr, 0);
+    const auto ref_labels = ref::CcLabels(csr);
+    for (const int devices : {1, 4, 8}) {
+      const multigpu::Partition partition =
+          multigpu::MakePartition(csr, devices);
+      CHECK(partition.VertexCount(devices - 1) == vertices);
+      multigpu::MultiGpuConfig multi_config;
+      multi_config.devices = devices;
+      const multigpu::MultiDeviceTraversal multi(
+          csr, core::EmogiConfig::MergedAligned(), multi_config);
+      CHECK(multi.Bfs(0).levels == ref_levels);
+      CHECK(multi.Cc().labels == ref_labels);
+    }
+  }
 }
 
 void TestOneDeviceParity() {
@@ -178,6 +201,7 @@ void TestMultiDeviceCorrectnessAndExchange() {
 
 int main() {
   emogi::TestPartitioner();
+  emogi::TestEdgelessGraphs();
   emogi::TestOneDeviceParity();
   emogi::TestMultiDeviceCorrectnessAndExchange();
   std::printf("test_multigpu: OK\n");

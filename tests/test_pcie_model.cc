@@ -6,11 +6,20 @@
 // PcieTimingModel::RequestWireNs per request for zero-copy, and
 // uvm::PageTable residency with per-kernel fault dedupe for UVM. Costs
 // and folded stats must match the oracle with `==`, doubles included.
+//
+// The zero-copy oracle is itself checked by a second, independent one,
+// the lanes oracle: CoalesceLanes models one warp instruction from its
+// per-lane addresses (touched sectors deduplicated, then contiguous
+// sectors merged within a cacheline). Every merged-mode window the
+// oracle splits must coalesce from its contiguous lanes into exactly the
+// same requests, and every naive-mode element, read by one lane, into
+// one 32B sector.
 
 #include <algorithm>
 #include <cstdio>
 #include <initializer_list>
 #include <set>
+#include <vector>
 
 #include "core/accountant.h"
 #include "core/config.h"
@@ -107,11 +116,127 @@ void CheckSameCost(const core::KernelCost& a, const core::KernelCost& b) {
   CHECK(a.fault_ns == b.fault_ns);
 }
 
+// --- Lanes oracle -------------------------------------------------------------
+
+struct Request {
+  sim::Addr addr = 0;
+  std::uint32_t bytes = 0;
+
+  bool operator==(const Request& other) const {
+    return addr == other.addr && bytes == other.bytes;
+  }
+};
+
+constexpr std::uint32_t kFullLaneMask = 0xffffffffu;
+
+// Coalesces one warp instruction: active lane i (bit i of `mask`) reads
+// [lanes[i], lanes[i] + elem_bytes). Touched sectors are deduplicated and
+// contiguous sectors within a cacheline merge into one request.
+void CoalesceLanes(const sim::Addr lanes[sim::kWarpSize], std::uint32_t mask,
+                   std::uint32_t elem_bytes, std::vector<Request>* out) {
+  // An element can straddle a sector boundary, so each lane contributes
+  // every sector its range overlaps.
+  std::vector<sim::Addr> sectors;
+  for (int lane = 0; lane < sim::kWarpSize; ++lane) {
+    if (!(mask & (1u << lane))) continue;
+    const sim::Addr first = lanes[lane] / sim::kSectorBytes;
+    const sim::Addr last = (lanes[lane] + elem_bytes - 1) / sim::kSectorBytes;
+    for (sim::Addr s = first; s <= last; ++s) sectors.push_back(s);
+  }
+  if (sectors.empty()) return;
+  std::sort(sectors.begin(), sectors.end());
+  sectors.erase(std::unique(sectors.begin(), sectors.end()), sectors.end());
+
+  constexpr sim::Addr kSectorsPerLine = sim::kCachelineBytes / sim::kSectorBytes;
+  sim::Addr run_start = sectors[0];
+  sim::Addr prev = sectors[0];
+  for (std::size_t i = 1; i <= sectors.size(); ++i) {
+    const bool extends =
+        i < sectors.size() && sectors[i] == prev + 1 &&
+        sectors[i] / kSectorsPerLine == run_start / kSectorsPerLine;
+    if (extends) {
+      prev = sectors[i];
+      continue;
+    }
+    out->push_back({run_start * sim::kSectorBytes,
+                    static_cast<std::uint32_t>((prev - run_start + 1) *
+                                               sim::kSectorBytes)});
+    if (i < sectors.size()) {
+      run_start = sectors[i];
+      prev = sectors[i];
+    }
+  }
+}
+
+void TestLanesDedupe() {
+  // All 32 lanes read inside one sector -> one 32B request.
+  sim::Addr lanes[sim::kWarpSize] = {};
+  std::vector<Request> out;
+  CoalesceLanes(lanes, kFullLaneMask, 8, &out);
+  CHECK(out.size() == 1);
+  CHECK(out[0].bytes == 32);
+}
+
+void TestLanesContiguous() {
+  // 32 lanes * 8B contiguous from an aligned base -> two 128B requests.
+  sim::Addr lanes[sim::kWarpSize];
+  for (int i = 0; i < sim::kWarpSize; ++i) {
+    lanes[i] = static_cast<sim::Addr>(i) * 8;
+  }
+  std::vector<Request> out;
+  CoalesceLanes(lanes, kFullLaneMask, 8, &out);
+  CHECK(out.size() == 2);
+  CHECK(out[0] == (Request{0, 128}));
+  CHECK(out[1] == (Request{128, 128}));
+}
+
+void TestLanesScattered() {
+  // Scattered lanes (one per cacheline) -> one sector request each.
+  sim::Addr lanes[sim::kWarpSize];
+  for (int i = 0; i < sim::kWarpSize; ++i) {
+    lanes[i] = static_cast<sim::Addr>(i) * 4096;
+  }
+  std::vector<Request> out;
+  CoalesceLanes(lanes, kFullLaneMask, 8, &out);
+  CHECK(out.size() == sim::kWarpSize);
+  for (const Request& r : out) CHECK(r.bytes == 32);
+}
+
+void TestLanesMaskRespected() {
+  sim::Addr lanes[sim::kWarpSize] = {};
+  std::vector<Request> out;
+  CoalesceLanes(lanes, 0, 8, &out);
+  CHECK(out.empty());
+}
+
+// The requests sim::ForEachSpanRequest splits [begin, end) into must be
+// what the lanes reading it element by element coalesce into.
+void CheckSpanMatchesLanes(sim::Addr begin, sim::Addr end,
+                           std::uint32_t elem_bytes) {
+  CHECK((end - begin) % elem_bytes == 0);
+  CHECK((end - begin) / elem_bytes <= sim::kWarpSize);
+  sim::Addr lanes[sim::kWarpSize] = {};
+  std::uint32_t mask = 0;
+  for (int lane = 0; begin + lane * elem_bytes < end; ++lane) {
+    lanes[lane] = begin + lane * elem_bytes;
+    mask |= 1u << lane;
+  }
+  std::vector<Request> coalesced;
+  CoalesceLanes(lanes, mask, elem_bytes, &coalesced);
+  std::vector<Request> split;
+  sim::ForEachSpanRequest(begin, end,
+                          [&split](sim::Addr addr, std::uint32_t bytes) {
+                            split.push_back({addr, bytes});
+                          });
+  CHECK(coalesced == split);
+}
+
 // --- Zero-copy oracle ---------------------------------------------------------
 
 // The zero-copy model in its plainest form: walk the mode's warp
 // windows, split each with sim::ForEachSpanRequest, and charge
-// RequestWireNs per request, in order.
+// RequestWireNs per request, in order. Each window (each naive element)
+// is also checked against the lanes oracle.
 class ZeroCopyOracle {
  public:
   explicit ZeroCopyOracle(const core::EmogiConfig& config)
@@ -123,6 +248,12 @@ class ZeroCopyOracle {
     const sim::Addr end = base_addr + elem_end * elem_bytes;
     if (config_.mode == core::AccessMode::kNaive) {
       const std::uint64_t elems = elem_end - elem_begin;
+      for (std::uint64_t i = 0; i < elems; ++i) {
+        const sim::Addr lanes[sim::kWarpSize] = {begin + i * elem_bytes};
+        std::vector<Request> sector;
+        CoalesceLanes(lanes, /*mask=*/1, elem_bytes, &sector);
+        CHECK(sector.size() == 1 && sector[0].bytes == sim::kSectorBytes);
+      }
       requests_.Add(sim::kSectorBytes, elems);
       request_count_ += elems;
       bytes_ += elems * sim::kSectorBytes;
@@ -138,6 +269,8 @@ class ZeroCopyOracle {
                                  ? begin - begin % window
                                  : begin;
     for (sim::Addr w = anchor; w < end; w += window) {
+      CheckSpanMatchesLanes(std::max(w, begin), std::min(w + window, end),
+                            elem_bytes);
       sim::ForEachSpanRequest(
           std::max(w, begin), std::min(w + window, end),
           [this](sim::Addr /*addr*/, std::uint32_t bytes) {
@@ -345,6 +478,10 @@ int main() {
   emogi::TestPaperArithmetic();
   emogi::TestMonotonicity();
   emogi::TestCoalescingReducesRequests();
+  emogi::TestLanesDedupe();
+  emogi::TestLanesContiguous();
+  emogi::TestLanesScattered();
+  emogi::TestLanesMaskRespected();
   emogi::TestZeroCopyMatchesOracle();
   emogi::TestUvmMatchesOracle();
   std::printf("test_pcie_model: OK\n");
