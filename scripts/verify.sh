@@ -215,6 +215,16 @@ echo "=== wire serving: protocol + weighted fair dispatch over live sockets ==="
 grep -q '"schema": "emogi-bench-report"' build/BENCH_net_serving.json
 
 echo
+echo "=== regression gate: net_serving vs checked-in baseline ==="
+# The checked-in baseline keeps only the deterministic rows (replayed
+# query count, both parity flags, the DRR window and total service
+# counts, the overload rejections, the window throughput ratio); the
+# wall-clock replay_queries_per_sec row was stripped when it was
+# generated, so every compared metric must match exactly on any machine.
+./build/bench_compare bench/baselines/BENCH_net_serving.json \
+  build/BENCH_net_serving.json
+
+echo
 echo "=== wire serving: emogi_serve <-> emogi_client round trip ==="
 # Launches emogi_serve --listen on a scratch Unix socket, replays a
 # seeded trace through the real emogi_client binary with --check

@@ -38,8 +38,10 @@
 //    against it only the converged `distances(lane)` are guaranteed
 //    equal (both run min-relaxation to the same fixpoint); visit counts
 //    can legitimately differ by a few in-iteration shortcuts. CC is
-//    deliberately not batched: it has no per-query source (every run
-//    answers the same question), so batching cannot amortize anything.
+//    not batched: it has no per-query source, so K lanes would be K
+//    copies of one run and batching cannot help. runtime::QueryService
+//    instead computes each shard's CC answer once and serves every CC
+//    lane from it (runtime/query_service.h).
 
 #ifndef EMOGI_CORE_BATCHED_H_
 #define EMOGI_CORE_BATCHED_H_

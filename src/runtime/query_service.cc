@@ -6,21 +6,20 @@
 #include "core/engine.h"
 
 namespace emogi::runtime {
-namespace {
 
 // One wave: lane i serves request members[i], all of one (graph, kind).
-struct WavePlan {
+struct QueryService::WavePlan {
   int graph = 0;
   QueryKind kind = QueryKind::kBfs;
   std::vector<std::size_t> members;
 };
 
-// Runs `wave` (number `index`) as one engine run on `csr` and writes
-// each lane's answer into its response slot.
-WaveStats RunWave(const graph::Csr& csr, const core::EmogiConfig& config,
-                  const WavePlan& wave, int index,
-                  const std::vector<Request>& requests,
-                  std::vector<Response>* responses) {
+WaveStats QueryService::RunWave(const WavePlan& wave, int index,
+                                const std::vector<Request>& requests,
+                                std::vector<Response>* responses) const {
+  const Shard& shard = shards_[wave.graph];
+  const graph::Csr& csr = *shard.csr;
+  const core::EmogiConfig& config = shard.config;
   const int lanes = static_cast<int>(wave.members.size());
   WaveStats wave_stats{wave.kind, lanes, wave.graph, {}, 0};
   const auto lane_response = [&](int lane, std::uint64_t edges) -> Response& {
@@ -32,16 +31,20 @@ WaveStats RunWave(const graph::Csr& csr, const core::EmogiConfig& config,
   };
 
   if (wave.kind == QueryKind::kCc) {
-    core::CcPolicy policy(csr);
-    wave_stats.stats = core::DispatchRun(csr, config, policy);
+    CcAnswer& cc = *shard.cc;
+    std::call_once(cc.once, [&] {
+      core::CcPolicy policy(csr);
+      cc.stats = core::DispatchRun(csr, config, policy);
+      cc.labels = std::move(policy.labels());
+    });
+    wave_stats.stats = cc.stats;
     // Every sweep scans the full edge list, so a dedicated run's scan
     // cost is edges x sweeps -- identical for each lane, and paid once
     // for the whole wave.
-    const std::uint64_t run_edges = csr.num_edges() * wave_stats.stats.kernels;
+    const std::uint64_t run_edges = csr.num_edges() * cc.stats.kernels;
     wave_stats.union_edges = run_edges;
     for (int lane = 0; lane < lanes; ++lane) {
-      lane_response(lane, run_edges).labels =
-          lane + 1 == lanes ? std::move(policy.labels()) : policy.labels();
+      lane_response(lane, run_edges).labels = cc.labels;
     }
     return wave_stats;
   }
@@ -70,8 +73,6 @@ WaveStats RunWave(const graph::Csr& csr, const core::EmogiConfig& config,
   }
   return wave_stats;
 }
-
-}  // namespace
 
 const char* ToString(QueryKind kind) {
   switch (kind) {
@@ -175,9 +176,8 @@ std::vector<Response> QueryService::SubmitBatch(
   std::vector<WaveStats> wave_stats;
   wave_stats.reserve(waves.size());
   for (std::size_t w = 0; w < waves.size(); ++w) {
-    const Shard& shard = shards_[waves[w].graph];
-    wave_stats.push_back(RunWave(*shard.csr, shard.config, waves[w],
-                                 static_cast<int>(w), requests, &responses));
+    wave_stats.push_back(
+        RunWave(waves[w], static_cast<int>(w), requests, &responses));
   }
   if (stats != nullptr) stats->waves = std::move(wave_stats);
   return responses;

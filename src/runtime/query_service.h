@@ -29,22 +29,30 @@
 // QueryService is the synchronous boundary and the only batch path: it
 // owns the shard table (graph id -> resident CSR + access-mode config),
 // validates every request once, packs the valid ones into waves, and
-// runs each wave as one multi-source engine run (core/batched.h).
+// runs each BFS/SSSP wave as one multi-source engine run
+// (core/batched.h).
 //
 // A wave is up to `max_lanes` (<= core::kMaxBatchLanes) requests of one
 // (graph, kind) class: BFS lanes cannot share a sweep with SSSP lanes
 // because the two policies stream different arrays (SSSP also scans
-// weights). CC has no per-query source, so one run answers every lane
-// of a CC wave outright. The accountant is charged once per shared
-// scan, so K concurrent queries cost one amortized sweep instead of K
-// full ones (the query_throughput experiment measures the ratio).
+// weights). The accountant is charged once per shared scan, so K
+// concurrent queries cost one amortized sweep instead of K full ones
+// (the query_throughput experiment measures the ratio).
+//
+// CC has no per-query source, and a shard never changes while the
+// service lives, so every CC query on a shard has the same answer. Each
+// shard's CC answer -- labels plus the run's TraversalStats -- is
+// computed once, by the first CC wave that shard serves, and every CC
+// lane is served from it. The first use is thread-safe (std::call_once),
+// and a CC wave reports exactly the stats and edge charges a fresh run
+// gives.
 //
 // Packing is greedy, shard by shard and then in arrival order, with one
 // open wave per kind flushed at max_lanes, so the wave/lane assignment
 // is a pure function of the batch. SubmitBatch runs its waves one after
-// another on the caller's thread, each an independent engine run with
-// its own cold accountant; concurrency belongs to callers (net::Listener
-// workers each submit one wave at a time).
+// another on the caller's thread, each BFS/SSSP wave an independent
+// engine run with its own cold accountant; concurrency belongs to
+// callers (net::Listener workers each submit one wave at a time).
 //
 // Queued serving on top of it goes through runtime::Dispatcher
 // (src/runtime/dispatcher.h), driven by serve::Server on a simulated
@@ -54,6 +62,8 @@
 #define EMOGI_RUNTIME_QUERY_SERVICE_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -164,18 +174,37 @@ class QueryService {
   // the wave numbers the responses report.
   //
   // Safe to call from several threads at once once every AddGraph has
-  // returned: it is const, the shard table and CSRs are only read, and
-  // each call builds its own accountants. net::Listener's workers call
-  // it concurrently, one wave each.
+  // returned: it is const, the shard table and CSRs are only read, each
+  // BFS/SSSP wave builds its own accountant, and a shard's CC answer is
+  // computed under std::call_once by whichever call needs it first.
+  // net::Listener's workers call it concurrently, one wave each.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests,
                                     BatchRunStats* stats = nullptr) const;
 
  private:
+  struct WavePlan;
+
+  // A shard's CC answer: what one CcPolicy run to its fixpoint returns.
+  struct CcAnswer {
+    std::once_flag once;
+    std::vector<graph::VertexId> labels;
+    core::TraversalStats stats;
+  };
+
   struct Shard {
     const graph::Csr* csr = nullptr;
     core::EmogiConfig config;
     std::string name;
+    // Filled by the shard's first CC wave; on the heap so Shard stays
+    // movable.
+    std::unique_ptr<CcAnswer> cc = std::make_unique<CcAnswer>();
   };
+
+  // Runs `wave` (number `index`) and writes each lane's answer into its
+  // response slot.
+  WaveStats RunWave(const WavePlan& wave, int index,
+                    const std::vector<Request>& requests,
+                    std::vector<Response>* responses) const;
 
   int max_lanes_;
   std::vector<Shard> shards_;

@@ -15,7 +15,8 @@
 //      respects K, and concurrent calls on one shared service -- the
 //      net::Listener pattern -- each return results, per-query visit
 //      counts and per-wave TraversalStats byte-identical to the serial
-//      call (the TSan CI job runs this file to prove them race-free).
+//      call (the TSan CI job runs this file to prove them race-free),
+//      also when they race to compute a shard's CC answer on first use.
 //  (d) Amortization accounting: union_edges <= sum of lane edges, with
 //      equality exactly when no scan was shared.
 //  (e) Routing: a mixed batch over two shards is numbered shard-major,
@@ -23,6 +24,7 @@
 //      answer equals a single-shard service's.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -357,9 +359,11 @@ void TestInvalidSourceFailsAlone() {
   CHECK(WaveStatsEqual(poisoned_stats, valid_stats));
 }
 
-// CC has no source: every CC query in a wave shares one
-// sweep-to-fixpoint run, and a lane's dedicated-cost charge is the full
-// edge list times the run's kernel count.
+// CC has no source: every CC query on a shard has the same answer, so
+// the service computes it once and serves every CC lane from it. Each
+// CC wave -- the first and every later one -- must report exactly what
+// a dedicated run gives: labels, TraversalStats, and a union and
+// per-lane charge of the full edge list times the run's kernel count.
 void TestCcWaveSharing() {
   const graph::Csr csr = graph::LoadOrGenerateDataset("GK", 16384);
 
@@ -369,6 +373,8 @@ void TestCcWaveSharing() {
     core::CcPolicy dedicated(csr);
     const core::TraversalStats dedicated_stats =
         core::DispatchRun(csr, config, dedicated);
+    const std::uint64_t run_edges =
+        csr.num_edges() * dedicated_stats.kernels;
 
     std::vector<runtime::Request> queries(
         5, runtime::Request{runtime::QueryKind::kCc, 0});
@@ -376,24 +382,84 @@ void TestCcWaveSharing() {
     queries.insert(queries.begin() + 2,
                    {runtime::QueryKind::kBfs, graph::PickSources(csr, 1)[0]});
 
-    runtime::BatchRunStats stats;
-    const std::vector<runtime::Response> results =
-        OneShard(csr, config, 8).SubmitBatch(queries, &stats);
+    const runtime::QueryService service = OneShard(csr, config, 8);
+    for (int call = 0; call < 3; ++call) {
+      runtime::BatchRunStats stats;
+      const std::vector<runtime::Response> results =
+          service.SubmitBatch(queries, &stats);
 
-    CHECK(stats.waves.size() == 2);  // One CC wave, one BFS wave.
-    const std::uint64_t run_edges =
-        csr.num_edges() * dedicated_stats.kernels;
-    for (std::size_t q = 0; q < results.size(); ++q) {
-      if (queries[q].kind != runtime::QueryKind::kCc) continue;
-      CHECK(results[q].status == runtime::Status::kOk);
-      CHECK(results[q].labels == dedicated.labels());
-      CHECK(results[q].edges_scanned == run_edges);
-      // All five CC queries share one wave (and its single run).
-      CHECK(results[q].wave == results[0].wave);
+      CHECK(stats.waves.size() == 2);  // One CC wave, one BFS wave.
+      for (std::size_t q = 0; q < results.size(); ++q) {
+        if (queries[q].kind != runtime::QueryKind::kCc) continue;
+        CHECK(results[q].status == runtime::Status::kOk);
+        CHECK(results[q].labels == dedicated.labels());
+        CHECK(results[q].edges_scanned == run_edges);
+        // All five CC queries share one wave.
+        CHECK(results[q].wave == results[0].wave);
+      }
+      const runtime::WaveStats& cc_wave = stats.waves[results[0].wave];
+      CHECK(cc_wave.kind == runtime::QueryKind::kCc);
+      CHECK(cc_wave.lanes == 5);
+      // The wave reports one dedicated run's cost, bit for bit, and its
+      // union charge is one run, not five.
+      CHECK(cc_wave.stats == dedicated_stats);
+      CHECK(cc_wave.union_edges == run_edges);
     }
-    // The wave's union charge is one run, not five.
-    CHECK(stats.waves[results[0].wave].union_edges == run_edges);
-    CHECK(stats.waves[results[0].wave].lanes == 5);
+  }
+}
+
+// The race on first use: kCallers threads start together on a fresh
+// two-shard service, each with a batch whose first wave is CC on shard
+// 0, so they all reach the shard's uncomputed CC answer at once. Every
+// call must return exactly what a serial call of its batch returns on a
+// second fresh service -- answers, wave/lane assignment and per-wave
+// stats.
+void TestConcurrentFirstCcUse() {
+  constexpr int kCallers = 4;
+  const graph::Csr csr = graph::LoadOrGenerateDataset("GK", 16384);
+  core::EmogiConfig merged = core::EmogiConfig::MergedAligned();
+  core::EmogiConfig uvm = core::EmogiConfig::Uvm();
+  merged.device.scale_factor = uvm.device.scale_factor = 1 << 14;
+  const auto fresh_service = [&] {
+    runtime::QueryService service(8);
+    service.AddGraph(csr, merged);
+    service.AddGraph(csr, uvm);
+    return service;
+  };
+
+  std::vector<runtime::Request> tail = MixedQueries(csr, 11);
+  tail.push_back({runtime::QueryKind::kCc, 0, 0});
+  tail.push_back({runtime::QueryKind::kCc, 0, 1});
+  std::vector<std::vector<runtime::Request>> batches(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    batches[t] = {{runtime::QueryKind::kCc, 0, 0}};
+    std::rotate(tail.begin(), tail.begin() + 3, tail.end());
+    batches[t].insert(batches[t].end(), tail.begin(), tail.end());
+  }
+
+  const runtime::QueryService shared = fresh_service();
+  std::vector<std::vector<runtime::Response>> results(kCallers);
+  std::vector<runtime::BatchRunStats> stats(kCallers);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kCallers) std::this_thread::yield();
+      results[t] = shared.SubmitBatch(batches[t], &stats[t]);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  const runtime::QueryService reference = fresh_service();
+  for (int t = 0; t < kCallers; ++t) {
+    runtime::BatchRunStats serial_stats;
+    const std::vector<runtime::Response> serial =
+        reference.SubmitBatch(batches[t], &serial_stats);
+    CHECK(stats[t].waves.front().kind == runtime::QueryKind::kCc);
+    CHECK(stats[t].waves.front().graph == 0);
+    CHECK(ResultsEqual(results[t], serial));
+    CHECK(WaveStatsEqual(stats[t], serial_stats));
   }
 }
 
@@ -510,6 +576,7 @@ int main() {
   emogi::TestConcurrentSubmitBatch();
   emogi::TestInvalidSourceFailsAlone();
   emogi::TestCcWaveSharing();
+  emogi::TestConcurrentFirstCcUse();
   emogi::TestMixedShardRouting();
   std::printf("test_query_batcher: OK\n");
   return 0;
