@@ -18,6 +18,13 @@
 //                                 many PCIe edge streams batching saved,
 //   waves_k{K}                    engine runs the serving needed.
 //
+// After the mixed servings, the workload's BFS queries and its SSSP
+// queries are each served alone at every K, so batching's host gain is
+// reported per kind (the mixed rows let BFS gains hide SSSP losses):
+//
+//   queries_per_sec_{bfs,sssp}_k{K}          wall-clock throughput,
+//   queries_per_sec_{bfs,sssp}_speedup_k{K}  vs that kind's K=1 serving.
+//
 // Every batched serving is parity-gated against the sequential path:
 // per-query BFS levels / SSSP distances must equal a dedicated
 // single-source DispatchRun, BFS per-query visit counts must equal the
@@ -87,17 +94,35 @@ SequentialReference SequentialAnswers(
   return reference;
 }
 
+// results[i] answers workload query ids[i].
 bool ResultsMatchReference(const std::vector<runtime::Response>& results,
+                           const std::vector<std::size_t>& ids,
                            const SequentialReference& reference) {
-  for (std::size_t q = 0; q < results.size(); ++q) {
-    if (results[q].kind == runtime::QueryKind::kBfs) {
-      if (results[q].levels != reference.levels[q]) return false;
-      if (results[q].edges_scanned != reference.bfs_edges[q]) return false;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::size_t q = ids[i];
+    if (results[i].kind == runtime::QueryKind::kBfs) {
+      if (results[i].levels != reference.levels[q]) return false;
+      if (results[i].edges_scanned != reference.bfs_edges[q]) return false;
     } else {
-      if (results[q].distances != reference.distances[q]) return false;
+      if (results[i].distances != reference.distances[q]) return false;
     }
   }
   return true;
+}
+
+// Serves `queries` through a fresh K-lane service on this thread and
+// returns the wall-clock queries/s; `batch` may be null.
+double TimedServing(const graph::Csr& csr, const core::EmogiConfig& config,
+                    int k, const std::vector<runtime::Request>& queries,
+                    std::vector<runtime::Response>* results,
+                    runtime::BatchRunStats* batch) {
+  runtime::QueryService service(k);
+  service.AddGraph(csr, config);
+  const auto start = std::chrono::steady_clock::now();
+  *results = service.SubmitBatch(queries, batch);
+  const double wall_ns = ElapsedNs(start);
+  return wall_ns > 0 ? static_cast<double>(queries.size()) * 1e9 / wall_ns
+                     : 0;
 }
 
 int Run(const RunContext& ctx, Report* report) {
@@ -121,6 +146,8 @@ int Run(const RunContext& ctx, Report* report) {
     const graph::Csr& csr = LoadDataset(symbol, options);
     const std::vector<runtime::Request> queries =
         GenerateQueryWorkload(csr, kQueries, kWorkloadSeed, kSsspFraction);
+    std::vector<std::size_t> all_ids(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) all_ids[q] = q;
 
     for (std::size_t m = 0; m < modes.size(); ++m) {
       const std::string mode = core::ToString(modes[m]);
@@ -135,15 +162,13 @@ int Run(const RunContext& ctx, Report* report) {
 
       std::vector<std::string> qps_cells, amortization_cells;
       for (const int k : kBatchSizes) {
-        runtime::QueryService service(k);
-        service.AddGraph(csr, configs[m]);
+        std::vector<runtime::Response> results;
         runtime::BatchRunStats batch;
-        const auto start = std::chrono::steady_clock::now();
-        const std::vector<runtime::Response> results =
-            service.SubmitBatch(queries, &batch);
-        const double wall_ns = ElapsedNs(start);
+        const double qps =
+            TimedServing(csr, configs[m], k, queries, &results, &batch);
 
-        parity_ok = parity_ok && ResultsMatchReference(results, reference);
+        parity_ok = parity_ok &&
+                    ResultsMatchReference(results, all_ids, reference);
         if (k == 1) {
           k1_edges.reserve(results.size());
           for (const runtime::Response& r : results) {
@@ -156,9 +181,6 @@ int Run(const RunContext& ctx, Report* report) {
           }
         }
 
-        const double qps = wall_ns > 0 ? static_cast<double>(kQueries) * 1e9 /
-                                             wall_ns
-                                       : 0;
         if (k == 1) k1_qps = qps;
         const std::uint64_t union_edges = batch.EdgesScanned();
         const double amortization =
@@ -183,6 +205,39 @@ int Run(const RunContext& ctx, Report* report) {
       }
       report->Row(symbol + " " + mode + " qps", qps_cells, 24, 12);
       report->Row(symbol + " " + mode + " amort", amortization_cells, 24, 12);
+
+      // The same workload split by kind, each kind served alone.
+      for (const runtime::QueryKind kind :
+           {runtime::QueryKind::kBfs, runtime::QueryKind::kSssp}) {
+        std::vector<runtime::Request> kind_queries;
+        std::vector<std::size_t> kind_ids;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          if (queries[q].kind != kind) continue;
+          kind_queries.push_back(queries[q]);
+          kind_ids.push_back(q);
+        }
+        const std::string name = kind == runtime::QueryKind::kBfs ? "bfs"
+                                                                  : "sssp";
+        double kind_k1_qps = 0;
+        std::vector<std::string> kind_cells;
+        for (const int k : kBatchSizes) {
+          std::vector<runtime::Response> results;
+          const double qps = TimedServing(csr, configs[m], k, kind_queries,
+                                          &results, nullptr);
+          parity_ok = parity_ok &&
+                      ResultsMatchReference(results, kind_ids, reference);
+          if (k == 1) kind_k1_qps = qps;
+          const std::string suffix = "_k" + std::to_string(k);
+          report->Metric(symbol, mode, "queries_per_sec_" + name + suffix,
+                         qps, "q/s");
+          report->Metric(symbol, mode,
+                         "queries_per_sec_" + name + "_speedup" + suffix,
+                         kind_k1_qps > 0 ? qps / kind_k1_qps : 0, "x");
+          kind_cells.push_back(FormatDouble(qps / 1e3, 1) + " kq/s");
+        }
+        report->Row(symbol + " " + mode + " " + name + " qps", kind_cells, 24,
+                    12);
+      }
     }
   }
 

@@ -77,10 +77,9 @@ BatchedSsspPolicy::BatchedSsspPolicy(
       sources_(sources),
       frontier_mask_(csr.num_vertices(), 0),
       next_mask_(csr.num_vertices(), 0),
-      dist_(sources.size(),
-            std::vector<std::uint64_t>(csr.num_vertices(), kInfDistance)),
-      base_(sources.size(),
-            std::vector<std::uint64_t>(csr.num_vertices(), kInfDistance)),
+      dist_(static_cast<std::size_t>(csr.num_vertices()) * sources.size(),
+            kInfDistance),
+      base_(dist_.size(), kInfDistance),
       lane_edges_(sources.size(), 0) {
   assert(lanes_ >= 1 && lanes_ <= kMaxBatchLanes);
 }
@@ -91,35 +90,53 @@ void BatchedSsspPolicy::InitFrontier(std::vector<graph::VertexId>* frontier) {
     const graph::VertexId s = sources_[lane];
     if (frontier_mask_[s] == 0) frontier->push_back(s);
     frontier_mask_[s] |= LaneMask{1} << lane;
-    dist_[lane][s] = 0;
-    base_[lane][s] = 0;
+    dist_[Slot(s, lane)] = 0;
+    base_[Slot(s, lane)] = 0;
   }
 }
 
 void BatchedSsspPolicy::Expand(graph::VertexId v,
                                std::vector<graph::VertexId>* next) {
-  const LaneMask scanning = frontier_mask_[v];
   const std::uint64_t degree = csr_.Degree(v);
   union_edges_ += degree;
-  for (LaneMask m = scanning; m != 0; m &= m - 1) {
-    lane_edges_[LowestLane(m)] += degree;
+  // Compact the scanning lanes and the distances they relax from once
+  // per list: the edge loop below then reads no mask and no base row.
+  int lane_of[kMaxBatchLanes];
+  LaneMask bit_of[kMaxBatchLanes];
+  std::uint64_t base_of[kMaxBatchLanes];
+  int count = 0;
+  const std::uint64_t* base_row = base_.data() + Slot(v, 0);
+  for (LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
+    const int lane = LowestLane(m);
+    lane_edges_[lane] += degree;
+    lane_of[count] = lane;
+    bit_of[count] = m & -m;
+    base_of[count] = base_row[lane];
+    ++count;
   }
-  for (graph::EdgeIndex e = csr_.NeighborBegin(v); e < csr_.NeighborEnd(v);
-       ++e) {
-    const graph::VertexId w = csr_.Neighbor(e);
+  graph::EdgeIndex e = csr_.NeighborBegin(v);
+  const graph::VertexId* neighbor = csr_.NeighborData(e);
+  const graph::VertexId* const end = neighbor + degree;
+  // Locals, not members: next->push_back could alias them, which would
+  // force a reload on every edge.
+  const std::size_t row_width = lanes_;
+  std::uint64_t* const dist = dist_.data();
+  LaneMask* const next_mask = next_mask_.data();
+  for (; neighbor != end; ++neighbor, ++e) {
+    const graph::VertexId w = *neighbor;
     const std::uint64_t weight = graph::EdgeWeight(e);
-    for (LaneMask m = scanning; m != 0; m &= m - 1) {
-      const int lane = LowestLane(m);
-      const std::uint64_t candidate = base_[lane][v] + weight;
-      if (candidate < dist_[lane][w]) {
-        dist_[lane][w] = candidate;
-        const LaneMask bit = LaneMask{1} << lane;
-        if ((next_mask_[w] & bit) == 0) {
-          if (next_mask_[w] == 0) next->push_back(w);
-          next_mask_[w] |= bit;
-        }
+    std::uint64_t* const dist_row = dist + w * row_width;
+    LaneMask improved = 0;
+    for (int j = 0; j < count; ++j) {
+      const std::uint64_t candidate = base_of[j] + weight;
+      if (candidate < dist_row[lane_of[j]]) {
+        dist_row[lane_of[j]] = candidate;
+        improved |= bit_of[j];
       }
     }
+    if (improved == 0) continue;
+    if (next_mask[w] == 0) next->push_back(w);
+    next_mask[w] |= improved;
   }
 }
 
@@ -133,10 +150,18 @@ void BatchedSsspPolicy::NextFrontier(std::vector<graph::VertexId>* frontier,
   // on this iteration, whatever order later scans run in.
   for (const graph::VertexId v : *frontier) {
     for (LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
-      const int lane = LowestLane(m);
-      base_[lane][v] = dist_[lane][v];
+      const std::size_t slot = Slot(v, LowestLane(m));
+      base_[slot] = dist_[slot];
     }
   }
+}
+
+std::vector<std::uint64_t> BatchedSsspPolicy::distances(int lane) const {
+  std::vector<std::uint64_t> lane_distances(csr_.num_vertices());
+  for (graph::VertexId v = 0; v < csr_.num_vertices(); ++v) {
+    lane_distances[v] = dist_[Slot(v, lane)];
+  }
+  return lane_distances;
 }
 
 std::uint64_t BatchedSsspPolicy::DatasetBytes() const {

@@ -12,6 +12,14 @@
 // once for the shared scan while per-lane bookkeeping (levels,
 // distances, per-query visit counts) stays exact.
 //
+// Lane state layout: BatchedBfsPolicy keeps one level vector per lane
+// ([lane][vertex]). BatchedSsspPolicy keeps its distances as one
+// contiguous K-wide row per vertex ([vertex][lane]), so relaxing an
+// edge for every scanning lane touches one row of the neighbor, and it
+// compacts a frontier vertex's scanning lanes (and the distances they
+// relax from) once per list scan, not once per edge. Its
+// `distances(lane)` therefore returns a copy gathered from the rows.
+//
 // These are ordinary engine policies (the frontier-loop contract of
 // core/engine.h), so they ride the existing monomorphization for free:
 // `DispatchRun(csr, config, batched_policy)` instantiates the static
@@ -46,6 +54,7 @@
 #ifndef EMOGI_CORE_BATCHED_H_
 #define EMOGI_CORE_BATCHED_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -109,7 +118,9 @@ class BatchedBfsPolicy {
 };
 
 // Multi-source Bellman-Ford SSSP with iteration-start relaxation (see
-// the header comment for the exactness contract).
+// the header comment for the exactness contract). Lane state is
+// vertex-major: vertex v's K lanes are the row [v * K, v * K + K) of
+// `dist_` and `base_`.
 class BatchedSsspPolicy {
  public:
   static constexpr bool kStreamsWeights = true;
@@ -125,22 +136,28 @@ class BatchedSsspPolicy {
 
   int lanes() const { return lanes_; }
   // Lane `lane`'s shortest-path distances (kInfDistance if
-  // unreachable), equal to a single-source run from sources[lane].
-  std::vector<std::uint64_t>& distances(int lane) { return dist_[lane]; }
+  // unreachable), equal to a single-source run from sources[lane]: a
+  // copy gathered from the vertex rows, so call it once per lane.
+  std::vector<std::uint64_t> distances(int lane) const;
   std::uint64_t lane_edges(int lane) const { return lane_edges_[lane]; }
   std::uint64_t union_edges() const { return union_edges_; }
 
  private:
+  // Index of lane `lane` in vertex v's row.
+  std::size_t Slot(graph::VertexId v, int lane) const {
+    return static_cast<std::size_t>(v) * lanes_ + lane;
+  }
+
   const graph::Csr& csr_;
   int lanes_;
   std::vector<graph::VertexId> sources_;
   std::vector<LaneMask> frontier_mask_;
   std::vector<LaneMask> next_mask_;
-  std::vector<std::vector<std::uint64_t>> dist_;  // [lane][vertex], live.
-  // [lane][vertex]: the distance a frontier vertex relaxes from this
+  std::vector<std::uint64_t> dist_;  // [vertex][lane], live.
+  // [vertex][lane]: the distance a frontier vertex relaxes from this
   // iteration -- snapshotted when the frontier is installed, so lane
   // trajectories are independent of the union frontier's scan order.
-  std::vector<std::vector<std::uint64_t>> base_;
+  std::vector<std::uint64_t> base_;
   std::vector<std::uint64_t> lane_edges_;
   std::uint64_t union_edges_ = 0;
 };

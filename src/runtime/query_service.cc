@@ -68,7 +68,7 @@ WaveStats QueryService::RunWave(const WavePlan& wave, int index,
     wave_stats.union_edges = policy.union_edges();
     for (int lane = 0; lane < lanes; ++lane) {
       lane_response(lane, policy.lane_edges(lane)).distances =
-          std::move(policy.distances(lane));
+          policy.distances(lane);
     }
   }
   return wave_stats;

@@ -37,7 +37,9 @@
 // because the two policies stream different arrays (SSSP also scans
 // weights). The accountant is charged once per shared scan, so K
 // concurrent queries cost one amortized sweep instead of K full ones
-// (the query_throughput experiment measures the ratio).
+// (the query_throughput experiment measures the ratio). A BFS lane's
+// levels are moved out of the policy; an SSSP lane's distances are a
+// copy gathered from the policy's vertex-major rows, once per lane.
 //
 // CC has no per-query source, and a shard never changes while the
 // service lives, so every CC query on a shard has the same answer. Each

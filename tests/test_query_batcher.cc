@@ -10,7 +10,9 @@
 //      identical to a 1-lane run of the batched policy itself (its
 //      iteration-start relaxation is order-independent, so K-lane ==
 //      K x 1-lane exactly -- see core/batched.h for why live-relaxation
-//      visit counts can differ).
+//      visit counts can differ). The vertex-major policy is also exact
+//      against a lane-major oracle of the same algorithm: distances,
+//      lane and union edges, and the run's TraversalStats bit for bit.
 //  (c) QueryService::SubmitBatch: results in input order, wave packing
 //      respects K, and concurrent calls on one shared service -- the
 //      net::Listener pattern -- each return results, per-query visit
@@ -64,6 +66,98 @@ std::uint64_t ReachedDegreeSum(const graph::Csr& csr,
   }
   return sum;
 }
+
+// core::BatchedSsspPolicy's algorithm in its plainest lane-major form
+// ([lane][vertex] state, one lane loop per edge): Bellman-Ford with
+// iteration-start relaxation. The reference the vertex-major policy
+// must match exactly.
+class LaneMajorSsspOracle {
+ public:
+  static constexpr bool kStreamsWeights = true;
+
+  LaneMajorSsspOracle(const graph::Csr& csr,
+                      const std::vector<graph::VertexId>& sources)
+      : csr_(csr),
+        lanes_(static_cast<int>(sources.size())),
+        sources_(sources),
+        frontier_mask_(csr.num_vertices(), 0),
+        next_mask_(csr.num_vertices(), 0),
+        dist_(sources.size(), std::vector<std::uint64_t>(
+                                  csr.num_vertices(), core::kInfDistance)),
+        base_(dist_),
+        lane_edges_(sources.size(), 0) {}
+
+  void InitFrontier(std::vector<graph::VertexId>* frontier) {
+    frontier->clear();
+    for (int lane = 0; lane < lanes_; ++lane) {
+      const graph::VertexId s = sources_[lane];
+      if (frontier_mask_[s] == 0) frontier->push_back(s);
+      frontier_mask_[s] |= core::LaneMask{1} << lane;
+      dist_[lane][s] = 0;
+      base_[lane][s] = 0;
+    }
+  }
+
+  void Expand(graph::VertexId v, std::vector<graph::VertexId>* next) {
+    const core::LaneMask scanning = frontier_mask_[v];
+    const std::uint64_t degree = csr_.Degree(v);
+    union_edges_ += degree;
+    for (core::LaneMask m = scanning; m != 0; m &= m - 1) {
+      lane_edges_[core::LowestLane(m)] += degree;
+    }
+    for (graph::EdgeIndex e = csr_.NeighborBegin(v); e < csr_.NeighborEnd(v);
+         ++e) {
+      const graph::VertexId w = csr_.Neighbor(e);
+      const std::uint64_t weight = graph::EdgeWeight(e);
+      for (core::LaneMask m = scanning; m != 0; m &= m - 1) {
+        const int lane = core::LowestLane(m);
+        const std::uint64_t candidate = base_[lane][v] + weight;
+        if (candidate < dist_[lane][w]) {
+          dist_[lane][w] = candidate;
+          const core::LaneMask bit = core::LaneMask{1} << lane;
+          if ((next_mask_[w] & bit) == 0) {
+            if (next_mask_[w] == 0) next->push_back(w);
+            next_mask_[w] |= bit;
+          }
+        }
+      }
+    }
+  }
+
+  void NextFrontier(std::vector<graph::VertexId>* frontier,
+                    std::vector<graph::VertexId>* next) {
+    for (const graph::VertexId v : *frontier) frontier_mask_[v] = 0;
+    frontier_mask_.swap(next_mask_);
+    frontier->swap(*next);
+    for (const graph::VertexId v : *frontier) {
+      for (core::LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
+        const int lane = core::LowestLane(m);
+        base_[lane][v] = dist_[lane][v];
+      }
+    }
+  }
+
+  std::uint64_t DatasetBytes() const {
+    return csr_.EdgeListBytes() + csr_.num_edges() * core::kWeightBytes;
+  }
+
+  const std::vector<std::uint64_t>& distances(int lane) const {
+    return dist_[lane];
+  }
+  std::uint64_t lane_edges(int lane) const { return lane_edges_[lane]; }
+  std::uint64_t union_edges() const { return union_edges_; }
+
+ private:
+  const graph::Csr& csr_;
+  int lanes_;
+  std::vector<graph::VertexId> sources_;
+  std::vector<core::LaneMask> frontier_mask_;
+  std::vector<core::LaneMask> next_mask_;
+  std::vector<std::vector<std::uint64_t>> dist_;  // [lane][vertex], live.
+  std::vector<std::vector<std::uint64_t>> base_;  // [lane][vertex].
+  std::vector<std::uint64_t> lane_edges_;
+  std::uint64_t union_edges_ = 0;
+};
 
 // --- (a) + (b): batched policies vs single-source runs ----------------------
 
@@ -119,6 +213,50 @@ void CheckBatchedSsspParity(const graph::Csr& csr,
     lane_edge_sum += batched.lane_edges(lane);
   }
   CHECK(batched.union_edges() <= lane_edge_sum);
+}
+
+// The vertex-major policy against the lane-major oracle on one source
+// list: every observable of the run must be identical.
+void CheckSsspMatchesOracle(const graph::Csr& csr,
+                            const core::EmogiConfig& config,
+                            const std::vector<graph::VertexId>& sources) {
+  core::BatchedSsspPolicy batched(csr, sources);
+  const core::TraversalStats batched_stats =
+      core::DispatchRun(csr, config, batched);
+  LaneMajorSsspOracle oracle(csr, sources);
+  const core::TraversalStats oracle_stats =
+      core::DispatchRun(csr, config, oracle);
+
+  CHECK(batched_stats == oracle_stats);
+  CHECK(batched.union_edges() == oracle.union_edges());
+  for (int lane = 0; lane < static_cast<int>(sources.size()); ++lane) {
+    CHECK(batched.distances(lane) == oracle.distances(lane));
+    CHECK(batched.lane_edges(lane) == oracle.lane_edges(lane));
+  }
+}
+
+void TestBatchedSsspMatchesLaneMajorOracle() {
+  const graph::Csr small = graph::GenerateUniformRandom(1 << 10, 8, 7);
+  const graph::Csr gk = graph::LoadOrGenerateDataset("GK", 16384);
+
+  for (core::EmogiConfig config : AllModes()) {
+    config.device.scale_factor = 1 << 14;
+    for (const graph::Csr* csr : {&small, &gk}) {
+      for (const int lanes : {1, 2, 3, 7, 8, 64}) {
+        // Distinct sources (up to the pool of 8), then every source
+        // asked for twice in a row, so duplicate lanes shadow each other
+        // at every K > 1.
+        const std::vector<graph::VertexId> distinct =
+            CycledSources(*csr, lanes);
+        std::vector<graph::VertexId> paired;
+        for (int lane = 0; lane < lanes; ++lane) {
+          paired.push_back(distinct[lane / 2]);
+        }
+        CheckSsspMatchesOracle(*csr, config, distinct);
+        CheckSsspMatchesOracle(*csr, config, paired);
+      }
+    }
+  }
 }
 
 void TestBatchedPolicyParity() {
@@ -571,6 +709,7 @@ void TestMixedShardRouting() {
 
 int main() {
   emogi::TestBatchedPolicyParity();
+  emogi::TestBatchedSsspMatchesLaneMajorOracle();
   emogi::TestDivergentFrontiersScanSeparately();
   emogi::TestBatchServing();
   emogi::TestConcurrentSubmitBatch();
