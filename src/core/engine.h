@@ -24,7 +24,8 @@
 // (core/static_accountant.h): one instantiation per (policy x access
 // mode) exists, with the mode's cost model inlined into the scan loop.
 // `DispatchRun` is the run entry picking that instantiation from
-// config.mode once per run.
+// config.mode once per run. `RunUncharged` runs the same loop with
+// NoCostAccountant, for callers that read only the policy's answers.
 
 #ifndef EMOGI_CORE_ENGINE_H_
 #define EMOGI_CORE_ENGINE_H_
@@ -89,6 +90,16 @@ TraversalStats DispatchRun(const graph::Csr& csr, const EmogiConfig& config,
     typename decltype(tag)::type accountant(config, managed_bytes);
     return RunFrontierEngine(csr, policy, accountant);
   });
+}
+
+// Answer-only run entry: the same frontier loop, charged to
+// NoCostAccountant. The policy ends in exactly the state DispatchRun
+// leaves it in, under any access mode (no policy reads the cost model),
+// but the run builds no accountant and reports no cost.
+template <typename Policy>
+void RunUncharged(const graph::Csr& csr, Policy& policy) {
+  NoCostAccountant accountant;
+  RunFrontierEngine(csr, policy, accountant);
 }
 
 // --- Algorithm policies -----------------------------------------------------

@@ -18,6 +18,11 @@
 // - StaticUvmAccountant models the managed-memory baseline: accesses hit
 //   the page table, misses migrate whole pages at bulk bandwidth plus a
 //   serial per-fault handler charge.
+// - NoCostAccountant charges nothing. It is for runs whose caller reads
+//   only the policy's answers (core::RunUncharged): frontier evolution
+//   never depends on the cost model, so the answers are those of a
+//   charged run, without the per-scan request bookkeeping or, under UVM,
+//   a page table per run.
 //
 // The engine charges every scan of every frontier vertex, so this is the
 // simulator's hottest call site. The types are concrete and final,
@@ -28,10 +33,12 @@
 // tag-window latency, bulk bandwidth) hoisted into members at
 // construction.
 //
-// Both shapes share the (config, managed_bytes) constructor signature so
-// callers can instantiate any of them uniformly; the zero-copy models
-// ignore the allocation size. tests/test_pcie_model.cc checks both
-// against a plain oracle built from sim::ForEachSpanRequest,
+// The two cost shapes share the (config, managed_bytes) constructor
+// signature so callers can instantiate any of them uniformly; the
+// zero-copy models ignore the allocation size. NoCostAccountant is
+// default-constructed and is never selected by access mode.
+// tests/test_pcie_model.cc checks both cost shapes against a plain
+// oracle built from sim::ForEachSpanRequest,
 // PcieTimingModel::RequestWireNs and uvm::PageTable, with `==` on every
 // double. It also checks every zero-copy window the oracle walks against
 // an independent per-lane coalescer (touched sectors deduplicated, then
@@ -285,6 +292,19 @@ class StaticUvmAccountant final {
 
   TraversalStats stats_;
   std::uint64_t kernel_faults_ = 0;
+};
+
+// The answer-only accountant: no constants, no state, every charge a
+// no-op. Its stats stay zero.
+class NoCostAccountant final {
+ public:
+  void OnListScan(sim::Addr, std::uint64_t, std::uint64_t, std::uint32_t) {}
+  KernelCost CloseKernel(std::uint64_t) { return {}; }
+
+  TraversalStats* mutable_stats() { return &stats_; }
+
+ private:
+  TraversalStats stats_;
 };
 
 // Names an accountant type without constructing one.

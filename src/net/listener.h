@@ -13,8 +13,10 @@
 // worker free for a second class. While fewer than W waves are in
 // flight the poll thread asks the dispatcher for the next wave, stamps
 // each lane's serve_seq (so serve_seq is the dispatch order) and hands
-// the wave to the pool. A worker runs QueryService::SubmitBatch, stamps
-// each lane's latency and encodes its response frame, pushes the
+// the wave to the pool. A worker runs QueryService::SubmitBatch with no
+// stats sink -- an uncharged wave: no response field depends on the
+// simulated cost model, so the wire never pays for it -- stamps each
+// lane's latency and encodes its response frame, pushes the
 // frames onto a mutex-guarded completion list and writes one byte to
 // the self-pipe the poll thread already polls. The poll thread then
 // appends the frames to the connections that are still open. A

@@ -14,14 +14,15 @@ struct QueryService::WavePlan {
   std::vector<std::size_t> members;
 };
 
-WaveStats QueryService::RunWave(const WavePlan& wave, int index,
-                                const std::vector<Request>& requests,
-                                std::vector<Response>* responses) const {
+void QueryService::RunWave(const WavePlan& wave, int index,
+                           const std::vector<Request>& requests,
+                           std::vector<Response>* responses,
+                           WaveStats* cost) const {
   const Shard& shard = shards_[wave.graph];
   const graph::Csr& csr = *shard.csr;
   const core::EmogiConfig& config = shard.config;
   const int lanes = static_cast<int>(wave.members.size());
-  WaveStats wave_stats{wave.kind, lanes, wave.graph, {}, 0};
+  if (cost != nullptr) *cost = WaveStats{wave.kind, lanes, wave.graph, {}, 0};
   const auto lane_response = [&](int lane, std::uint64_t edges) -> Response& {
     Response& response = (*responses)[wave.members[lane]];
     response.wave = index;
@@ -37,16 +38,18 @@ WaveStats QueryService::RunWave(const WavePlan& wave, int index,
       cc.stats = core::DispatchRun(csr, config, policy);
       cc.labels = std::move(policy.labels());
     });
-    wave_stats.stats = cc.stats;
     // Every sweep scans the full edge list, so a dedicated run's scan
     // cost is edges x sweeps -- identical for each lane, and paid once
     // for the whole wave.
     const std::uint64_t run_edges = csr.num_edges() * cc.stats.kernels;
-    wave_stats.union_edges = run_edges;
+    if (cost != nullptr) {
+      cost->stats = cc.stats;
+      cost->union_edges = run_edges;
+    }
     for (int lane = 0; lane < lanes; ++lane) {
       lane_response(lane, run_edges).labels = cc.labels;
     }
-    return wave_stats;
+    return;
   }
 
   std::vector<graph::VertexId> sources;
@@ -54,24 +57,31 @@ WaveStats QueryService::RunWave(const WavePlan& wave, int index,
   for (const std::size_t q : wave.members) {
     sources.push_back(requests[q].source);
   }
+  // Charged only when the caller reads the cost; the answers are the
+  // same either way.
+  const auto run = [&](auto& policy) {
+    if (cost == nullptr) {
+      core::RunUncharged(csr, policy);
+      return;
+    }
+    cost->stats = core::DispatchRun(csr, config, policy);
+    cost->union_edges = policy.union_edges();
+  };
   if (wave.kind == QueryKind::kBfs) {
     core::BatchedBfsPolicy policy(csr, sources);
-    wave_stats.stats = core::DispatchRun(csr, config, policy);
-    wave_stats.union_edges = policy.union_edges();
+    run(policy);
     for (int lane = 0; lane < lanes; ++lane) {
       lane_response(lane, policy.lane_edges(lane)).levels =
           std::move(policy.levels(lane));
     }
   } else {
     core::BatchedSsspPolicy policy(csr, sources);
-    wave_stats.stats = core::DispatchRun(csr, config, policy);
-    wave_stats.union_edges = policy.union_edges();
+    run(policy);
     for (int lane = 0; lane < lanes; ++lane) {
       lane_response(lane, policy.lane_edges(lane)).distances =
           policy.distances(lane);
     }
   }
-  return wave_stats;
 }
 
 const char* ToString(QueryKind kind) {
@@ -136,7 +146,10 @@ Status QueryService::Validate(const Request& request) const {
 }
 
 Response QueryService::Submit(const Request& request) const {
-  std::vector<Response> responses = SubmitBatch({request});
+  // Charged on purpose: the wire-parity checks use Submit as their
+  // reference, so it must not share the listener's uncharged path.
+  BatchRunStats discarded;
+  std::vector<Response> responses = SubmitBatch({request}, &discarded);
   return std::move(responses.front());
 }
 
@@ -173,11 +186,11 @@ std::vector<Response> QueryService::SubmitBatch(
     }
   }
 
-  std::vector<WaveStats> wave_stats;
-  wave_stats.reserve(waves.size());
+  // Without a sink nobody reads the cost, so the waves run uncharged.
+  std::vector<WaveStats> wave_stats(stats != nullptr ? waves.size() : 0);
   for (std::size_t w = 0; w < waves.size(); ++w) {
-    wave_stats.push_back(
-        RunWave(waves[w], static_cast<int>(w), requests, &responses));
+    RunWave(waves[w], static_cast<int>(w), requests, &responses,
+            stats != nullptr ? &wave_stats[w] : nullptr);
   }
   if (stats != nullptr) stats->waves = std::move(wave_stats);
   return responses;

@@ -37,9 +37,17 @@
 // because the two policies stream different arrays (SSSP also scans
 // weights). The accountant is charged once per shared scan, so K
 // concurrent queries cost one amortized sweep instead of K full ones
-// (the query_throughput experiment measures the ratio). A BFS lane's
-// levels are moved out of the policy; an SSSP lane's distances are a
-// copy gathered from the policy's vertex-major rows, once per lane.
+// (the query_throughput experiment measures the ratio).
+//
+// The cost model runs only when the caller asks for the cost: a
+// SubmitBatch with a `stats` sink charges every BFS/SSSP wave to the
+// shard's access-mode accountant (core::DispatchRun), one without a
+// sink -- the wire's net::Listener -- runs the waves uncharged
+// (core::RunUncharged). No answer field depends on the cost model, so
+// the responses are identical either way. Submit stays charged. A BFS
+// lane's levels are moved out of the policy; an SSSP lane's distances
+// are a copy gathered from the policy's vertex-major rows, once per
+// lane.
 //
 // CC has no per-query source, and a shard never changes while the
 // service lives, so every CC query on a shard has the same answer. Each
@@ -53,8 +61,9 @@
 // open wave per kind flushed at max_lanes, so the wave/lane assignment
 // is a pure function of the batch. SubmitBatch runs its waves one after
 // another on the caller's thread, each BFS/SSSP wave an independent
-// engine run with its own cold accountant; concurrency belongs to
-// callers (net::Listener workers each submit one wave at a time).
+// engine run (with its own cold accountant when charged); concurrency
+// belongs to callers (net::Listener workers each submit one wave at a
+// time).
 //
 // Queued serving on top of it goes through runtime::Dispatcher
 // (src/runtime/dispatcher.h), driven by serve::Server on a simulated
@@ -166,6 +175,8 @@ class QueryService {
 
   // Serves one query synchronously as a dedicated (single-lane) run.
   // Never queued, so the only statuses are kOk and kInvalidSource.
+  // Charged (its stats are discarded), so the wire-parity references
+  // that call it run the engine path, not the listener's uncharged one.
   Response Submit(const Request& request) const;
 
   // Serves a batch: requests are validated individually (invalid ones
@@ -173,12 +184,15 @@ class QueryService {
   // rest), and the valid ones are packed into <= max_lanes waves, shard
   // by shard and then in arrival order. Responses are in input order;
   // `stats` (optional) receives every wave's engine cost, indexed by
-  // the wave numbers the responses report.
+  // the wave numbers the responses report. Only a call with `stats`
+  // charges the cost model; without it the BFS/SSSP waves run
+  // uncharged and return the same responses.
   //
   // Safe to call from several threads at once once every AddGraph has
   // returned: it is const, the shard table and CSRs are only read, each
-  // BFS/SSSP wave builds its own accountant, and a shard's CC answer is
-  // computed under std::call_once by whichever call needs it first.
+  // charged BFS/SSSP wave builds its own accountant, and a shard's CC
+  // answer is computed (charged) under std::call_once by whichever call
+  // needs it first.
   // net::Listener's workers call it concurrently, one wave each.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests,
                                     BatchRunStats* stats = nullptr) const;
@@ -203,10 +217,11 @@ class QueryService {
   };
 
   // Runs `wave` (number `index`) and writes each lane's answer into its
-  // response slot.
-  WaveStats RunWave(const WavePlan& wave, int index,
-                    const std::vector<Request>& requests,
-                    std::vector<Response>* responses) const;
+  // response slot. Charges the cost model and writes the wave's cost to
+  // `cost` only when `cost` is non-null.
+  void RunWave(const WavePlan& wave, int index,
+               const std::vector<Request>& requests,
+               std::vector<Response>* responses, WaveStats* cost) const;
 
   int max_lanes_;
   std::vector<Shard> shards_;

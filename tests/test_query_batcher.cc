@@ -24,6 +24,10 @@
 //  (e) Routing: a mixed batch over two shards is numbered shard-major,
 //      every wave names its shard, bad requests fail alone, and every
 //      answer equals a single-shard service's.
+//  (f) Uncharged serving: a SubmitBatch without a stats sink (the wire's
+//      call) runs its BFS/SSSP waves with no cost model and returns
+//      responses equal in every field to the charged call's, also from
+//      concurrent callers racing a fresh service.
 
 #include <algorithm>
 #include <atomic>
@@ -335,7 +339,8 @@ bool ResultsEqual(const std::vector<runtime::Response>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t q = 0; q < a.size(); ++q) {
     if (a[q].status != b[q].status || a[q].kind != b[q].kind ||
-        a[q].source != b[q].source || a[q].wave != b[q].wave ||
+        a[q].source != b[q].source || a[q].graph != b[q].graph ||
+        a[q].wave != b[q].wave ||
         a[q].lane != b[q].lane || a[q].edges_scanned != b[q].edges_scanned ||
         a[q].levels != b[q].levels || a[q].distances != b[q].distances ||
         a[q].labels != b[q].labels) {
@@ -704,6 +709,114 @@ void TestMixedShardRouting() {
   CHECK(wave_base == static_cast<int>(stats.waves.size()));
 }
 
+// --- (f): uncharged serving -------------------------------------------------
+
+// BFS, SSSP and CC on shard `graph`, every source asked for twice by
+// each kind, with an out-of-range source and an unknown graph id mixed
+// in.
+std::vector<runtime::Request> UnchargedProbeBatch(const graph::Csr& csr,
+                                                  int graph) {
+  std::vector<runtime::Request> batch;
+  for (const graph::VertexId source : CycledSources(csr, 4)) {
+    batch.push_back({runtime::QueryKind::kBfs, source, graph});
+    batch.push_back({runtime::QueryKind::kSssp, source, graph});
+    batch.push_back({runtime::QueryKind::kBfs, source, graph});
+    batch.push_back({runtime::QueryKind::kCc, 0, graph});
+    batch.push_back({runtime::QueryKind::kSssp, source, graph});
+  }
+  batch.insert(batch.begin() + 3,
+               {runtime::QueryKind::kBfs, csr.num_vertices(), graph});
+  batch.insert(batch.begin() + 8,
+               {runtime::QueryKind::kSssp, batch.front().source, 99});
+  return batch;
+}
+
+// Charged and uncharged servings of one batch agree in every Response
+// field, for every mode, graph and wave width. The uncharged call goes
+// first on a fresh service, so it is the one that computes the shard's
+// CC answer -- which must still carry a dedicated run's cost.
+void TestUnchargedServingMatchesCharged() {
+  const graph::Csr small = graph::GenerateUniformRandom(1 << 10, 8, 7);
+  const graph::Csr gk = graph::LoadOrGenerateDataset("GK", 16384);
+
+  for (core::EmogiConfig config : AllModes()) {
+    config.device.scale_factor = 1 << 14;
+    for (const graph::Csr* csr : {&small, &gk}) {
+      const std::vector<runtime::Request> batch =
+          UnchargedProbeBatch(*csr, 0);
+      core::CcPolicy dedicated(*csr);
+      const core::TraversalStats cc_stats =
+          core::DispatchRun(*csr, config, dedicated);
+
+      for (const int k : {1, 3, 64}) {
+        const runtime::QueryService service = OneShard(*csr, config, k);
+        const std::vector<runtime::Response> uncharged =
+            service.SubmitBatch(batch);
+        runtime::BatchRunStats stats;
+        const std::vector<runtime::Response> charged =
+            service.SubmitBatch(batch, &stats);
+
+        CHECK(ResultsEqual(uncharged, charged));
+        std::size_t invalid = 0;
+        for (const runtime::Response& r : uncharged) {
+          if (r.status == runtime::Status::kInvalidSource) ++invalid;
+        }
+        CHECK(invalid == 2);
+        for (const runtime::WaveStats& wave : stats.waves) {
+          CHECK(wave.stats.kernels > 0);
+          if (wave.kind == runtime::QueryKind::kCc) {
+            CHECK(wave.stats == cc_stats);
+          }
+        }
+      }
+    }
+  }
+
+  // net::Listener's pattern, uncharged: kCallers threads race a fresh
+  // two-shard service (first CC use included), each with its own
+  // rotation of the batch, and must return what a serial charged call
+  // of that batch returns.
+  constexpr int kCallers = 4;
+  core::EmogiConfig merged = core::EmogiConfig::MergedAligned();
+  core::EmogiConfig uvm = core::EmogiConfig::Uvm();
+  merged.device.scale_factor = uvm.device.scale_factor = 1 << 14;
+  const auto fresh_service = [&] {
+    runtime::QueryService service(8);
+    service.AddGraph(gk, merged);
+    service.AddGraph(small, uvm);
+    return service;
+  };
+  std::vector<runtime::Request> queries = UnchargedProbeBatch(gk, 0);
+  for (const runtime::Request& request : UnchargedProbeBatch(small, 1)) {
+    queries.push_back(request);
+  }
+  std::vector<std::vector<runtime::Request>> batches(kCallers, queries);
+  for (int t = 0; t < kCallers; ++t) {
+    std::rotate(batches[t].begin(), batches[t].begin() + 7 * t,
+                batches[t].end());
+  }
+
+  const runtime::QueryService shared = fresh_service();
+  std::vector<std::vector<runtime::Response>> results(kCallers);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kCallers) std::this_thread::yield();
+      results[t] = shared.SubmitBatch(batches[t]);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  const runtime::QueryService reference = fresh_service();
+  for (int t = 0; t < kCallers; ++t) {
+    runtime::BatchRunStats serial_stats;
+    CHECK(ResultsEqual(results[t],
+                       reference.SubmitBatch(batches[t], &serial_stats)));
+  }
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -717,6 +830,7 @@ int main() {
   emogi::TestCcWaveSharing();
   emogi::TestConcurrentFirstCcUse();
   emogi::TestMixedShardRouting();
+  emogi::TestUnchargedServingMatchesCharged();
   std::printf("test_query_batcher: OK\n");
   return 0;
 }
