@@ -84,15 +84,6 @@ struct ScratchSocket {
   }
 };
 
-bool SameAnswer(const runtime::Response& wire,
-                const runtime::Response& local) {
-  return wire.status == local.status && wire.kind == local.kind &&
-         wire.source == local.source && wire.graph == local.graph &&
-         wire.levels == local.levels && wire.distances == local.distances &&
-         wire.labels == local.labels &&
-         wire.edges_scanned == local.edges_scanned;
-}
-
 // What one WFQ tenant's client saw, collected on its own thread.
 struct TenantOutcome {
   std::vector<net::ResponseMsg> responses;
@@ -253,9 +244,9 @@ int Run(const RunContext& ctx, Report* report) {
         replay_parity_ok = false;
         break;
       }
-      replay_parity_ok =
-          replay_parity_ok &&
-          SameAnswer(response.response, reference.Submit(it->second));
+      replay_parity_ok = replay_parity_ok &&
+                         runtime::SameAnswer(response.response,
+                                             reference.Submit(it->second));
       pending.erase(it);
     }
     const double wall_ns =
@@ -313,8 +304,8 @@ int Run(const RunContext& ctx, Report* report) {
         tcp_ok = false;
         break;
       }
-      tcp_ok = tcp_ok && SameAnswer(response.response,
-                                    reference.Submit(request));
+      tcp_ok = tcp_ok && runtime::SameAnswer(response.response,
+                                             reference.Submit(request));
     }
     // An out-of-range source must come back as a typed rejection on the
     // same healthy connection, never as a dropped peer.

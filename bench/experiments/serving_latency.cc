@@ -111,48 +111,6 @@ bool ServedMatchesDedicated(const std::vector<const graph::Csr*>& csrs,
   return true;
 }
 
-bool OutcomesIdentical(const serve::ServeOutcome& a,
-                       const serve::ServeOutcome& b) {
-  if (a.queries.size() != b.queries.size() ||
-      a.shards.size() != b.shards.size()) {
-    return false;
-  }
-  for (std::size_t q = 0; q < a.queries.size(); ++q) {
-    const serve::ServedQuery& x = a.queries[q];
-    const serve::ServedQuery& y = b.queries[q];
-    if (x.response.status != y.response.status ||
-        x.response.kind != y.response.kind ||
-        x.response.source != y.response.source ||
-        x.response.graph != y.response.graph ||
-        x.response.wave != y.response.wave ||
-        x.response.lane != y.response.lane ||
-        x.response.edges_scanned != y.response.edges_scanned ||
-        x.response.levels != y.response.levels ||
-        x.response.distances != y.response.distances ||
-        x.response.labels != y.response.labels ||
-        x.arrival_ns != y.arrival_ns || x.start_ns != y.start_ns ||
-        x.completion_ns != y.completion_ns || x.latency_ns != y.latency_ns) {
-      return false;
-    }
-  }
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    const serve::ShardStats& x = a.shards[s];
-    const serve::ShardStats& y = b.shards[s];
-    if (x.arrivals != y.arrivals || x.served != y.served ||
-        x.rejected_overload != y.rejected_overload ||
-        x.rejected_overload_by_kind[0] != y.rejected_overload_by_kind[0] ||
-        x.rejected_overload_by_kind[1] != y.rejected_overload_by_kind[1] ||
-        x.rejected_overload_by_kind[2] != y.rejected_overload_by_kind[2] ||
-        x.rejected_invalid != y.rejected_invalid ||
-        x.dropped_deadline != y.dropped_deadline || x.waves != y.waves ||
-        x.wave_lanes != y.wave_lanes || x.busy_ns != y.busy_ns ||
-        x.last_completion_ns != y.last_completion_ns) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // K=1 BFS service time for the nominal trace's arrival pacing: mean
 // inter-arrival == service time puts the shard at load ~1 with no
 // batching, so the adaptive waves have real queues to drain.
@@ -349,8 +307,8 @@ int Run(const RunContext& ctx, Report* report) {
       // Shard timelines are pure functions of their sub-traces; fanning
       // them across any number of workers must not change a byte.
       for (const int threads : {1, 2, 5}) {
-        determinism_ok =
-            determinism_ok && OutcomesIdentical(mixed, serve_at(threads));
+        determinism_ok = determinism_ok &&
+                         serve::OutcomesIdentical(mixed, serve_at(threads));
       }
     }
   }

@@ -7,6 +7,9 @@
 # dedicated in-process QueryService run) and --require-ok, then
 # SIGINT-drain the server and require a clean exit 0.
 #
+# Before that, usage errors -- no --listen, a retired simulated-serving
+# flag, a non-numeric count -- must exit exactly 2 without binding.
+#
 # Usage: serve_roundtrip.sh <emogi_serve> <emogi_client> <scratch-dir>
 # Respects EMOGI_SCALE / EMOGI_SOURCES etc. via the tools' own env
 # handling.
@@ -31,6 +34,24 @@ cleanup() {
   rm -rf "$SOCK_DIR"
 }
 trap cleanup EXIT
+
+# A flag the server ignored would leave it serving; `timeout` turns
+# that into a nonzero status other than 2 instead of a hang.
+expect_usage_error() {
+  local status=0
+  timeout 60 "$SERVE" "$@" >"$DIR/usage.log" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || [ -e "$SOCK" ]; then
+    echo "serve_roundtrip: '$*' exited $status, want usage error 2" \
+         "with no socket" >&2
+    cat "$DIR/usage.log" >&2
+    exit 1
+  fi
+}
+expect_usage_error --filter sym=GK
+expect_usage_error --listen "$SOCK" --burst --filter sym=GK
+expect_usage_error --listen "$SOCK" --filter sym=GK --closed-loop 4
+expect_usage_error --listen "$SOCK" --filter sym=GK --queries 8
+expect_usage_error --listen "$SOCK" --filter sym=GK --max-lanes abc
 
 "$SERVE" --listen "$SOCK" --filter sym=GK >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!

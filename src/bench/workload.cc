@@ -181,27 +181,6 @@ std::vector<serve::TimestampedRequest> GenerateArrivalTrace(
   return trace;
 }
 
-std::vector<std::vector<runtime::Request>> GenerateClosedLoopWorkload(
-    const std::vector<const graph::Csr*>& graphs, int clients,
-    int queries_per_client, const ServeTraceSpec& spec) {
-  std::vector<std::vector<runtime::Request>> workload;
-  if (graphs.empty() || clients <= 0 || queries_per_client <= 0) {
-    return workload;
-  }
-  workload.resize(static_cast<std::size_t>(clients));
-  SplitMix rng{spec.seed};
-  for (auto& sequence : workload) {
-    // A closed-loop client is pinned to one shard for its whole life
-    // (cross-shard requests would couple the shard timelines).
-    const int g = static_cast<int>(rng.Next() % graphs.size());
-    sequence.reserve(static_cast<std::size_t>(queries_per_client));
-    for (int q = 0; q < queries_per_client; ++q) {
-      sequence.push_back(PickRequest(rng, graphs, g, spec));
-    }
-  }
-  return workload;
-}
-
 double MeanTimeOverSourcesNs(
     const std::vector<graph::VertexId>& sources, int threads,
     const std::function<double(graph::VertexId)>& run_one) {

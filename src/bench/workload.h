@@ -89,15 +89,6 @@ struct ServeTraceSpec {
 std::vector<serve::TimestampedRequest> GenerateArrivalTrace(
     const std::vector<const graph::Csr*>& graphs, const ServeTraceSpec& spec);
 
-// Closed-loop workload for serve::Server::ServeClosedLoop: `clients`
-// request sequences of `queries_per_client` each, every client pinned
-// to one pseudo-randomly chosen shard (spec's arrival fields are
-// unused -- a closed-loop client's next arrival is its previous
-// completion).
-std::vector<std::vector<runtime::Request>> GenerateClosedLoopWorkload(
-    const std::vector<const graph::Csr*>& graphs, int clients,
-    int queries_per_client, const ServeTraceSpec& spec);
-
 }  // namespace emogi::bench
 
 #endif  // EMOGI_BENCH_WORKLOAD_H_

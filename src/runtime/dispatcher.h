@@ -65,8 +65,8 @@ inline constexpr std::uint32_t kMaxTenantWeight = 1024;
 // One admitted-but-not-yet-dispatched request.
 struct PendingRequest {
   std::uint64_t id = 0;          // Caller's handle (wire id, trace slot).
-  // Caller's route: the listener's connection id, or serve::Server's
-  // closed-loop client + 1. 0 = none; DropOwner removes by it.
+  // Caller's route: the listener's connection id. 0 = none; DropOwner
+  // removes by it.
   std::uint64_t owner = 0;
   std::uint64_t arrival_ns = 0;  // Admission time on the caller's clock.
   int tenant = 0;                // Set by Enqueue.

@@ -112,6 +112,13 @@ const char* ToString(Status status) {
   return "ANSWER_TOO_LARGE";
 }
 
+bool SameAnswer(const Response& a, const Response& b) {
+  return a.status == b.status && a.kind == b.kind && a.source == b.source &&
+         a.graph == b.graph && a.levels == b.levels &&
+         a.distances == b.distances && a.labels == b.labels &&
+         a.edges_scanned == b.edges_scanned;
+}
+
 std::uint64_t BatchRunStats::EdgesScanned() const {
   std::uint64_t edges = 0;
   for (const WaveStats& wave : waves) edges += wave.union_edges;

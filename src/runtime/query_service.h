@@ -152,6 +152,12 @@ struct BatchRunStats {
   double SimulatedNs() const;
 };
 
+// Answer identity: status, kind, source, graph, payload vectors and
+// edges_scanned. The wave/lane coordinates describe batch packing, not
+// the answer -- a batched and a dedicated run of one query legitimately
+// differ there -- so they are deliberately not compared.
+bool SameAnswer(const Response& a, const Response& b);
+
 class QueryService {
  public:
   // `max_lanes` caps the wave width K, clamped to

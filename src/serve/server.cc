@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <iterator>
 #include <utility>
 
 #include "runtime/dispatcher.h"
@@ -11,179 +11,107 @@
 namespace emogi::serve {
 namespace {
 
-// One pending arrival inside a shard's simulated timeline. `seq` breaks
-// simultaneous-arrival ties by input position, so the timeline is a
-// pure function of the sub-trace. `pending.id` is the slot in
-// ServeOutcome::queries; `pending.owner` is the closed-loop client + 1
-// (0 for open-loop traces).
-struct Arrival {
-  std::uint64_t seq = 0;
-  runtime::PendingRequest pending;
-};
-
-struct ArrivalLater {
-  bool operator()(const Arrival& a, const Arrival& b) const {
-    if (a.pending.arrival_ns != b.pending.arrival_ns) {
-      return a.pending.arrival_ns > b.pending.arrival_ns;
-    }
-    return a.seq > b.seq;
-  }
-};
-
-using ArrivalHeap =
-    std::priority_queue<Arrival, std::vector<Arrival>, ArrivalLater>;
-
-Arrival MakeArrival(std::uint64_t at, std::uint64_t seq, std::size_t slot,
-                    const runtime::Request& request, int client) {
-  Arrival a;
-  a.seq = seq;
-  a.pending.id = slot;
-  a.pending.owner = static_cast<std::uint64_t>(client + 1);
-  a.pending.arrival_ns = at;
-  a.pending.request = request;
-  return a;
-}
-
-// Simulates one shard's serving timeline on the simulated clock: arrivals
-// are admitted into a runtime::Dispatcher with one weight-1 tenant, which
-// sheds expired requests and packs same-kind waves. For closed-loop runs,
-// `clients` supplies each client's remaining requests; a client's next
-// request arrives the instant its previous one completes or is rejected.
-struct ShardSim {
-  ShardSim(const runtime::QueryService* service, int shard,
-           const ServerOptions& options)
-      : service(service),
-        shard(shard),
-        queue_bound(options.queue_bound),
-        max_lanes(static_cast<std::size_t>(options.max_lanes)) {
-    stats.graph = shard;
-  }
-
-  const runtime::QueryService* service;
-  int shard;
-  std::size_t queue_bound;
-  std::size_t max_lanes;
-  // Closed-loop continuation state (empty for open-loop traces):
-  // clients[c] is client c's full request sequence, next_query[c] the
-  // index of its next unissued request.
-  const std::vector<std::vector<runtime::Request>>* clients = nullptr;
-  std::vector<std::size_t> next_query;
-  std::vector<std::size_t> client_out_base;  // First outcome slot per client.
-
+// Simulates one shard's serving timeline on the simulated clock:
+// `arrivals` (slot `id` in ServeOutcome::queries, in input order) are
+// admitted in stable (arrival_ns, input) order into a runtime::Dispatcher
+// with one weight-1 tenant, which sheds expired requests and packs
+// same-kind waves. The timeline is a pure function of the sub-trace.
+ShardStats SimulateShard(const runtime::QueryService& service, int shard,
+                         const ServerOptions& options,
+                         std::vector<runtime::PendingRequest> arrivals,
+                         std::vector<ServedQuery>* out) {
+  std::stable_sort(arrivals.begin(), arrivals.end(),
+                   [](const runtime::PendingRequest& a,
+                      const runtime::PendingRequest& b) {
+                     return a.arrival_ns < b.arrival_ns;
+                   });
   ShardStats stats;
+  stats.graph = shard;
+  const std::size_t max_lanes = static_cast<std::size_t>(options.max_lanes);
+  std::uint64_t now = 0;
+  std::size_t next = 0;
+  runtime::Dispatcher dispatcher(options.queue_bound);
+  const int tenant = dispatcher.AddTenant("shard", 1);
 
-  void Run(ArrivalHeap* arrivals, std::vector<ServedQuery>* out) {
-    std::uint64_t now = 0;
-    std::uint64_t next_seq = 1ull << 32;  // Above every initial seq.
-    runtime::Dispatcher dispatcher(queue_bound);
-    const int tenant = dispatcher.AddTenant("shard", 1);
+  const auto finish = [&](const runtime::PendingRequest& p,
+                          runtime::Status status, std::uint64_t at) {
+    ServedQuery& served = (*out)[p.id];
+    served.response.status = status;
+    served.response.kind = p.request.kind;
+    served.response.source = p.request.source;
+    served.response.graph = p.request.graph;
+    served.arrival_ns = p.arrival_ns;
+    served.start_ns = at;
+    served.completion_ns = at;
+    // A non-served query has no service latency; its fate and timing
+    // are the record.
+    served.latency_ns = 0;
+  };
 
-    const auto finish = [&](const runtime::PendingRequest& p,
-                            runtime::Status status, std::uint64_t at) {
-      ServedQuery& served = (*out)[p.id];
-      served.response.status = status;
-      served.response.kind = p.request.kind;
-      served.response.source = p.request.source;
-      served.response.graph = p.request.graph;
-      served.arrival_ns = p.arrival_ns;
-      served.start_ns = at;
-      served.completion_ns = at;
-      // A non-served query has no service latency; its fate and timing
-      // are the record.
-      served.latency_ns = 0;
-      Continue(p.owner, at, arrivals, &next_seq);
-    };
-
-    while (!arrivals->empty() || dispatcher.TotalPending() > 0) {
-      if (dispatcher.TotalPending() == 0) {
-        now = std::max(now, arrivals->top().pending.arrival_ns);
-      }
-
-      // Admit everything that has arrived by `now`, in (time, input)
-      // order, against the bound. No wave dispatches between two
-      // admissions, so batch-processing arrivals at the next idle
-      // point is exactly equivalent to handling each at its own t.
-      while (!arrivals->empty() &&
-             arrivals->top().pending.arrival_ns <= now) {
-        runtime::PendingRequest p = arrivals->top().pending;
-        arrivals->pop();
-        ++stats.arrivals;
-        if (p.request.graph != shard ||
-            service->Validate(p.request) != runtime::Status::kOk) {
-          ++stats.rejected_invalid;
-          finish(p, runtime::Status::kInvalidSource, p.arrival_ns);
-          continue;
-        }
-        if (!dispatcher.Enqueue(tenant, p)) {
-          ++stats.rejected_overload;
-          ++stats.rejected_overload_by_kind[static_cast<int>(p.request.kind)];
-          finish(p, runtime::Status::kOverloaded, p.arrival_ns);
-        }
-      }
-
-      std::vector<runtime::PendingRequest> shed;
-      const std::vector<runtime::PendingRequest> members =
-          dispatcher.NextWave(now, max_lanes, &shed);
-      for (const runtime::PendingRequest& p : shed) {
-        ++stats.dropped_deadline;
-        finish(p, runtime::Status::kDeadlineExceeded, now);
-      }
-      if (members.empty()) continue;
-
-      std::vector<runtime::Request> requests;
-      requests.reserve(members.size());
-      for (const runtime::PendingRequest& m : members) {
-        requests.push_back(m.request);
-      }
-      runtime::BatchRunStats wave_stats;
-      std::vector<runtime::Response> responses =
-          service->SubmitBatch(requests, &wave_stats);
-
-      const std::uint64_t service_ns = static_cast<std::uint64_t>(
-          std::llround(wave_stats.SimulatedNs()));
-      const std::uint64_t start = now;
-      const std::uint64_t completion = start + service_ns;
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        ServedQuery& served = (*out)[members[i].id];
-        served.response = std::move(responses[i]);
-        served.arrival_ns = members[i].arrival_ns;
-        served.start_ns = start;
-        served.completion_ns = completion;
-        served.latency_ns = completion - members[i].arrival_ns;
-        Continue(members[i].owner, completion, arrivals, &next_seq);
-      }
-      stats.served += members.size();
-      stats.waves += wave_stats.waves.size();
-      stats.wave_lanes += members.size();
-      stats.busy_ns += service_ns;
-      stats.last_completion_ns = completion;
-      now = completion;
+  while (next < arrivals.size() || dispatcher.TotalPending() > 0) {
+    if (dispatcher.TotalPending() == 0) {
+      now = std::max(now, arrivals[next].arrival_ns);
     }
-  }
 
-  // Queues the next request of closed-loop client `owner - 1`, arriving
-  // at `at`. Open-loop requests (owner 0) have no continuation.
-  void Continue(std::uint64_t owner, std::uint64_t at, ArrivalHeap* arrivals,
-                std::uint64_t* next_seq) {
-    if (owner == 0) return;
-    const int c = static_cast<int>(owner - 1);
-    const std::vector<runtime::Request>& sequence = (*clients)[c];
-    if (next_query[c] >= sequence.size()) return;
-    const std::size_t q = next_query[c]++;
-    arrivals->push(MakeArrival(at, (*next_seq)++, client_out_base[c] + q,
-                               sequence[q], c));
-  }
-};
+    // Admit everything that has arrived by `now`, in (time, input)
+    // order, against the bound. No wave dispatches between two
+    // admissions, so batch-processing arrivals at the next idle point
+    // is exactly equivalent to handling each at its own t.
+    for (; next < arrivals.size() && arrivals[next].arrival_ns <= now;
+         ++next) {
+      const runtime::PendingRequest& p = arrivals[next];
+      ++stats.arrivals;
+      if (p.request.graph != shard ||
+          service.Validate(p.request) != runtime::Status::kOk) {
+        ++stats.rejected_invalid;
+        finish(p, runtime::Status::kInvalidSource, p.arrival_ns);
+        continue;
+      }
+      if (!dispatcher.Enqueue(tenant, p)) {
+        ++stats.rejected_overload;
+        ++stats.rejected_overload_by_kind[static_cast<int>(p.request.kind)];
+        finish(p, runtime::Status::kOverloaded, p.arrival_ns);
+      }
+    }
 
-// Folds the per-shard timeline counters on top of the unroutable-arrival
-// tallies already in *shards.
-void FoldTimelines(std::vector<ShardStats> timelines,
-                   std::vector<ShardStats>* shards) {
-  for (std::size_t g = 0; g < timelines.size(); ++g) {
-    timelines[g].arrivals += (*shards)[g].arrivals;
-    timelines[g].rejected_invalid += (*shards)[g].rejected_invalid;
+    std::vector<runtime::PendingRequest> shed;
+    const std::vector<runtime::PendingRequest> members =
+        dispatcher.NextWave(now, max_lanes, &shed);
+    for (const runtime::PendingRequest& p : shed) {
+      ++stats.dropped_deadline;
+      finish(p, runtime::Status::kDeadlineExceeded, now);
+    }
+    if (members.empty()) continue;
+
+    std::vector<runtime::Request> requests;
+    requests.reserve(members.size());
+    for (const runtime::PendingRequest& m : members) {
+      requests.push_back(m.request);
+    }
+    runtime::BatchRunStats wave_stats;
+    std::vector<runtime::Response> responses =
+        service.SubmitBatch(requests, &wave_stats);
+
+    const std::uint64_t service_ns =
+        static_cast<std::uint64_t>(std::llround(wave_stats.SimulatedNs()));
+    const std::uint64_t start = now;
+    const std::uint64_t completion = start + service_ns;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      ServedQuery& served = (*out)[members[i].id];
+      served.response = std::move(responses[i]);
+      served.arrival_ns = members[i].arrival_ns;
+      served.start_ns = start;
+      served.completion_ns = completion;
+      served.latency_ns = completion - members[i].arrival_ns;
+    }
+    stats.served += members.size();
+    stats.waves += wave_stats.waves.size();
+    stats.wave_lanes += members.size();
+    stats.busy_ns += service_ns;
+    stats.last_completion_ns = completion;
+    now = completion;
   }
-  *shards = std::move(timelines);
+  return stats;
 }
 
 }  // namespace
@@ -250,6 +178,40 @@ double ServeOutcome::SimulatedQueriesPerSec() const {
          static_cast<double>(last_completion - first_arrival);
 }
 
+bool OutcomesIdentical(const ServeOutcome& a, const ServeOutcome& b) {
+  if (a.queries.size() != b.queries.size() ||
+      a.shards.size() != b.shards.size()) {
+    return false;
+  }
+  for (std::size_t q = 0; q < a.queries.size(); ++q) {
+    const ServedQuery& x = a.queries[q];
+    const ServedQuery& y = b.queries[q];
+    if (!runtime::SameAnswer(x.response, y.response) ||
+        x.response.wave != y.response.wave ||
+        x.response.lane != y.response.lane ||
+        x.arrival_ns != y.arrival_ns || x.start_ns != y.start_ns ||
+        x.completion_ns != y.completion_ns || x.latency_ns != y.latency_ns) {
+      return false;
+    }
+  }
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    const ShardStats& x = a.shards[s];
+    const ShardStats& y = b.shards[s];
+    if (x.graph != y.graph || x.arrivals != y.arrivals ||
+        x.served != y.served || x.rejected_overload != y.rejected_overload ||
+        !std::equal(std::begin(x.rejected_overload_by_kind),
+                    std::end(x.rejected_overload_by_kind),
+                    std::begin(y.rejected_overload_by_kind)) ||
+        x.rejected_invalid != y.rejected_invalid ||
+        x.dropped_deadline != y.dropped_deadline || x.waves != y.waves ||
+        x.wave_lanes != y.wave_lanes || x.busy_ns != y.busy_ns ||
+        x.last_completion_ns != y.last_completion_ns) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::uint64_t PercentileNs(std::vector<std::uint64_t> samples, double p) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
@@ -284,7 +246,7 @@ ServeOutcome Server::ServeTrace(
   // Route per shard. A request naming no shard cannot be queued
   // anywhere: it is rejected at arrival (kInvalidSource) right here and
   // counted against shard 0's invalid tally when one exists.
-  std::vector<std::vector<Arrival>> per_shard(shards);
+  std::vector<std::vector<runtime::PendingRequest>> per_shard(shards);
   for (std::size_t q = 0; q < trace.size(); ++q) {
     const TimestampedRequest& entry = trace[q];
     const int g = entry.request.graph;
@@ -303,86 +265,26 @@ ServeOutcome Server::ServeTrace(
       }
       continue;
     }
-    per_shard[g].push_back(
-        MakeArrival(entry.arrival_ns, q, q, entry.request, -1));
+    runtime::PendingRequest pending;
+    pending.id = q;
+    pending.arrival_ns = entry.arrival_ns;
+    pending.request = entry.request;
+    per_shard[g].push_back(pending);
   }
 
+  // Fold each shard's timeline counters on top of the unroutable-arrival
+  // tallies already counted above.
   runtime::SweepRunner runner(options_.threads);
-  FoldTimelines(
-      runner.Run(static_cast<std::size_t>(shards),
-                 [&](std::size_t g) {
-                   ShardSim sim(&service_, static_cast<int>(g), options_);
-                   ArrivalHeap heap(ArrivalLater{}, per_shard[g]);
-                   sim.Run(&heap, &outcome.queries);
-                   return sim.stats;
-                 }),
-      &outcome.shards);
-  return outcome;
-}
-
-ServeOutcome Server::ServeClosedLoop(
-    const std::vector<std::vector<runtime::Request>>& clients) const {
-  ServeOutcome outcome;
-  std::size_t total = 0;
-  for (const auto& sequence : clients) total += sequence.size();
-  outcome.queries.resize(total);
-  const int shards = service_.num_graphs();
-  outcome.shards.resize(shards);
-  for (int g = 0; g < shards; ++g) outcome.shards[g].graph = g;
-
-  // A client is pinned to the shard its first request names; its whole
-  // sequence runs on that shard's timeline (a request naming any other
-  // graph is rejected kInvalidSource there -- cross-shard requests
-  // would couple the timelines and break determinism).
-  std::vector<std::size_t> out_base(clients.size(), 0);
-  std::size_t base = 0;
-  for (std::size_t c = 0; c < clients.size(); ++c) {
-    out_base[c] = base;
-    base += clients[c].size();
+  std::vector<ShardStats> timelines =
+      runner.Run(static_cast<std::size_t>(shards), [&](std::size_t g) {
+        return SimulateShard(service_, static_cast<int>(g), options_,
+                             std::move(per_shard[g]), &outcome.queries);
+      });
+  for (int g = 0; g < shards; ++g) {
+    timelines[g].arrivals += outcome.shards[g].arrivals;
+    timelines[g].rejected_invalid += outcome.shards[g].rejected_invalid;
   }
-  std::vector<std::vector<int>> shard_clients(shards);
-  for (std::size_t c = 0; c < clients.size(); ++c) {
-    if (clients[c].empty()) continue;
-    const int g = clients[c].front().graph;
-    if (g < 0 || g >= shards) {
-      // No shard to run on: the whole sequence is unroutable, each
-      // request "arriving" the instant the previous was rejected (all
-      // at t = 0).
-      for (std::size_t q = 0; q < clients[c].size(); ++q) {
-        ServedQuery& served = outcome.queries[out_base[c] + q];
-        served.response.status = runtime::Status::kInvalidSource;
-        served.response.kind = clients[c][q].kind;
-        served.response.source = clients[c][q].source;
-        served.response.graph = g;
-      }
-      if (shards > 0) {
-        outcome.shards[0].arrivals += clients[c].size();
-        outcome.shards[0].rejected_invalid += clients[c].size();
-      }
-      continue;
-    }
-    shard_clients[g].push_back(static_cast<int>(c));
-  }
-
-  runtime::SweepRunner runner(options_.threads);
-  FoldTimelines(
-      runner.Run(static_cast<std::size_t>(shards),
-                 [&](std::size_t g) {
-                   ShardSim sim(&service_, static_cast<int>(g), options_);
-                   sim.clients = &clients;
-                   sim.next_query.assign(clients.size(), 0);
-                   sim.client_out_base = out_base;
-                   ArrivalHeap heap;
-                   for (std::size_t i = 0; i < shard_clients[g].size(); ++i) {
-                     const int c = shard_clients[g][i];
-                     sim.next_query[c] = 1;
-                     heap.push(MakeArrival(0, i, out_base[c],
-                                           clients[c].front(), c));
-                   }
-                   sim.Run(&heap, &outcome.queries);
-                   return sim.stats;
-                 }),
-      &outcome.shards);
+  outcome.shards = std::move(timelines);
   return outcome;
 }
 

@@ -42,11 +42,7 @@
 // pool. Every per-shard timeline is a pure function of its sub-trace,
 // so the whole outcome is byte-identical at any thread count.
 //
-// Closed-loop mode (ServeClosedLoop) replaces the pre-stamped trace
-// with C concurrent clients, each bound to one shard, that issue their
-// next request the moment the previous one completes (or is rejected)
-// -- the classic closed-loop load model next to the open-loop Poisson
-// trace the workload generator produces.
+// The trace is open-loop: every arrival is fixed before serving starts.
 
 #ifndef EMOGI_SERVE_SERVER_H_
 #define EMOGI_SERVE_SERVER_H_
@@ -126,6 +122,12 @@ struct ServeOutcome {
   double SimulatedQueriesPerSec() const;
 };
 
+// True when two servings of a trace agree on everything they record:
+// every query's answer (runtime::SameAnswer plus its wave and lane) and
+// simulated timestamps, and every shard counter. The determinism gate
+// for the thread-count fan-out.
+bool OutcomesIdentical(const ServeOutcome& a, const ServeOutcome& b);
+
 // Nearest-rank percentile over simulated latencies: the smallest sample
 // with at least p% of the samples at or below it (p in [0, 100]; p = 0
 // gives the minimum, empty input gives 0). Takes samples by value and
@@ -142,22 +144,11 @@ class Server {
                std::string name = "");
 
   const runtime::QueryService& service() const { return service_; }
-  const ServerOptions& options() const { return options_; }
 
   // Serves a timestamped open-loop trace. Entries may arrive in any
   // order; ties and ordering are broken by input position, so the
   // outcome is a pure function of the trace.
   ServeOutcome ServeTrace(const std::vector<TimestampedRequest>& trace) const;
-
-  // Serves C closed-loop clients: clients[c] is client c's request
-  // sequence, issued one at a time starting at t = 0, each next request
-  // arriving the instant the previous one completes (or is rejected).
-  // Every request of one client must name the same graph -- a client is
-  // pinned to a shard, which keeps shard timelines independent.
-  // Outcomes are in client-major input order (clients[0][0],
-  // clients[0][1], ..., clients[1][0], ...).
-  ServeOutcome ServeClosedLoop(
-      const std::vector<std::vector<runtime::Request>>& clients) const;
 
  private:
   ServerOptions options_;

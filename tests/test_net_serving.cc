@@ -91,18 +91,6 @@ core::EmogiConfig TestConfig() {
   return config;
 }
 
-// Answers must match a dedicated run field-for-field; wave/lane are
-// scheduling artifacts (batched vs. dedicated) and deliberately not
-// compared.
-bool SameAnswer(const runtime::Response& wire,
-                const runtime::Response& local) {
-  return wire.status == local.status && wire.kind == local.kind &&
-         wire.source == local.source && wire.graph == local.graph &&
-         wire.levels == local.levels && wire.distances == local.distances &&
-         wire.labels == local.labels &&
-         wire.edges_scanned == local.edges_scanned;
-}
-
 // Every arrival has exactly one outcome, and nothing is left queued or
 // in flight.
 void CheckBalanced(const net::ListenerStats& stats) {
@@ -273,7 +261,7 @@ void TestConcurrentClientsMatchDedicated() {
     CHECK(responses[c].size() == requests[c].size());
     for (std::size_t q = 0; q < requests[c].size(); ++q) {
       const runtime::Response local = reference.Submit(requests[c][q]);
-      CHECK(SameAnswer(responses[c][q].response, local));
+      CHECK(runtime::SameAnswer(responses[c][q].response, local));
       CHECK(responses[c][q].response.status == runtime::Status::kOk);
       CHECK(responses[c][q].serve_seq > 0);
     }
@@ -684,7 +672,7 @@ void TestInteractiveOvertakesBulkWaves() {
   runtime::QueryService reference;
   reference.AddGraph(csr, config, "GK/bulk");
   reference.AddGraph(csr, config, "GK/interactive");
-  CHECK(SameAnswer(answer.response, reference.Submit(bfs)));
+  CHECK(runtime::SameAnswer(answer.response, reference.Submit(bfs)));
   CHECK(answer.response.status == runtime::Status::kOk);
   interactive.Close(true);
 

@@ -15,9 +15,6 @@
 //      shard counters -- is byte-identical at thread counts {1, 2, 5}
 //      on a multi-shard trace (the TSan CI job runs this file to prove
 //      the shard fan-out is also race-free).
-//  (f) Closed-loop serving: each client's next request arrives the
-//      instant its previous one completes, so one client's queries
-//      never overlap in simulated time.
 
 #include <cstdio>
 #include <vector>
@@ -235,45 +232,6 @@ void TestDeadlineShedAtDispatch() {
 
 // --- (e) thread-count determinism on a multi-shard trace --------------------
 
-bool OutcomesIdentical(const serve::ServeOutcome& a,
-                       const serve::ServeOutcome& b) {
-  if (a.queries.size() != b.queries.size() ||
-      a.shards.size() != b.shards.size()) {
-    return false;
-  }
-  for (std::size_t q = 0; q < a.queries.size(); ++q) {
-    const serve::ServedQuery& x = a.queries[q];
-    const serve::ServedQuery& y = b.queries[q];
-    if (x.response.status != y.response.status ||
-        x.response.kind != y.response.kind ||
-        x.response.source != y.response.source ||
-        x.response.graph != y.response.graph ||
-        x.response.wave != y.response.wave ||
-        x.response.lane != y.response.lane ||
-        x.response.edges_scanned != y.response.edges_scanned ||
-        x.response.levels != y.response.levels ||
-        x.response.distances != y.response.distances ||
-        x.response.labels != y.response.labels ||
-        x.arrival_ns != y.arrival_ns || x.start_ns != y.start_ns ||
-        x.completion_ns != y.completion_ns || x.latency_ns != y.latency_ns) {
-      return false;
-    }
-  }
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    const serve::ShardStats& x = a.shards[s];
-    const serve::ShardStats& y = b.shards[s];
-    if (x.arrivals != y.arrivals || x.served != y.served ||
-        x.rejected_overload != y.rejected_overload ||
-        x.rejected_invalid != y.rejected_invalid ||
-        x.dropped_deadline != y.dropped_deadline || x.waves != y.waves ||
-        x.wave_lanes != y.wave_lanes || x.busy_ns != y.busy_ns ||
-        x.last_completion_ns != y.last_completion_ns) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void TestThreadCountDeterminism() {
   const graph::Csr& gk = graph::LoadOrGenerateDataset("GK", 16384);
   const graph::Csr& gu = graph::LoadOrGenerateDataset("GU", 16384);
@@ -301,44 +259,12 @@ void TestThreadCountDeterminism() {
   const serve::ServeOutcome reference = serve_at(1);
   CHECK(reference.Served() == 40);
   CHECK(reference.shards[0].served > 0 && reference.shards[1].served > 0);
-  CHECK(OutcomesIdentical(reference, serve_at(2)));
-  CHECK(OutcomesIdentical(reference, serve_at(5)));
-}
-
-// --- (f) closed-loop clients ------------------------------------------------
-
-void TestClosedLoopSerialization() {
-  const graph::Csr& csr = graph::LoadOrGenerateDataset("GK", 16384);
-  const core::EmogiConfig config = Scaled(core::EmogiConfig::MergedAligned());
-
-  bench::ServeTraceSpec spec;
-  spec.seed = 31;
-  spec.sssp_fraction = 0.25;
-  const std::vector<std::vector<runtime::Request>> clients =
-      bench::GenerateClosedLoopWorkload({&csr}, /*clients=*/3,
-                                        /*queries_per_client=*/4, spec);
-
-  serve::ServerOptions options;
-  options.queue_bound = 8;  // >= clients: nothing can be rejected.
-  serve::Server server(options);
-  server.AddShard(csr, config);
-  const serve::ServeOutcome outcome = server.ServeClosedLoop(clients);
-
-  CHECK(outcome.queries.size() == 12);
-  CHECK(outcome.Served() == 12);
-  CHECK(outcome.RejectedOverload() == 0);
-  for (int c = 0; c < 3; ++c) {
-    for (int q = 0; q < 4; ++q) {
-      const serve::ServedQuery& served = outcome.queries[c * 4 + q];
-      CHECK(served.response.status == runtime::Status::kOk);
-      if (q > 0) {
-        // Closed loop: request q arrives the instant q-1 completed.
-        const serve::ServedQuery& prev = outcome.queries[c * 4 + q - 1];
-        CHECK(served.arrival_ns == prev.completion_ns);
-        CHECK(served.start_ns >= prev.completion_ns);
-      }
-    }
-  }
+  CHECK(serve::OutcomesIdentical(reference, serve_at(2)));
+  CHECK(serve::OutcomesIdentical(reference, serve_at(5)));
+  // The comparator sees every shard counter, per-kind rejections too.
+  serve::ServeOutcome perturbed = reference;
+  ++perturbed.shards[1].rejected_overload_by_kind[2];
+  CHECK(!serve::OutcomesIdentical(reference, perturbed));
 }
 
 }  // namespace
@@ -351,7 +277,6 @@ int main() {
   emogi::TestMalformedRequests();
   emogi::TestDeadlineShedAtDispatch();
   emogi::TestThreadCountDeterminism();
-  emogi::TestClosedLoopSerialization();
   std::printf("test_serve: OK\n");
   return 0;
 }

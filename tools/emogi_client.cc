@@ -1,9 +1,10 @@
 // emogi_client: the wire-protocol client driver. Dials a live
 // emogi_serve --listen endpoint (Unix path or host:port), declares a
 // tenant identity + WFQ weight, and either submits one query or replays
-// a seeded trace -- the same seeded generator emogi_serve's in-process
-// mode uses, so client and server agree on shard ids and sources from
-// the shared bench options (--scale/--filter/--data-dir/...).
+// a seeded trace -- bench::GenerateArrivalTrace, the generator the
+// serving_latency and net_serving experiments use -- with client and
+// server agreeing on shard ids and sources from the shared bench options
+// (--scale/--filter/--data-dir/...).
 //
 // Usage:
 //   emogi_client --connect <path|host:port> [--tenant NAME] [--weight W]
@@ -94,19 +95,6 @@ int Usage(const char* argv0) {
                "[--cache-dir D]\n",
                argv0);
   return 2;
-}
-
-// Answer-identity of the wire response against a dedicated in-process
-// run: status, payload vectors, and the dedicated-cost accounting. The
-// wave/lane coordinates legitimately differ (they describe batch
-// packing, not the answer) and are deliberately not compared.
-bool SameAnswer(const emogi::runtime::Response& wire,
-                const emogi::runtime::Response& local) {
-  return wire.status == local.status && wire.kind == local.kind &&
-         wire.source == local.source && wire.graph == local.graph &&
-         wire.levels == local.levels && wire.distances == local.distances &&
-         wire.labels == local.labels &&
-         wire.edges_scanned == local.edges_scanned;
 }
 
 const char* PayloadSummary(const emogi::runtime::Response& r, char* buf,
@@ -318,7 +306,7 @@ int main(int argc, char** argv) {
     if (response.response.status != emogi::runtime::Status::kOk) ++not_ok;
     if (flags.check) {
       const emogi::runtime::Response local = reference.Submit(it->second);
-      if (!SameAnswer(response.response, local)) {
+      if (!emogi::runtime::SameAnswer(response.response, local)) {
         ++mismatches;
         std::fprintf(stderr,
                      "emogi_client: parity mismatch on id %llu (%s from %u "
