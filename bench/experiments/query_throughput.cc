@@ -33,8 +33,11 @@
 // single-source run, BFS per-query visit counts must equal the
 // reached set's degree sum, and per-query visit counts at every K must
 // be byte-identical to the K=1 serving (the batched policies' lane-
-// exactness contract). `--selfcheck` exits nonzero on any violation.
+// exactness contract). `--selfcheck` exits nonzero on any violation, and
+// also unless batching pays off somewhere: amortization_k32 >= 2 on at
+// least one dataset x mode.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -53,6 +56,9 @@ constexpr int kQueries = 64;
 constexpr std::uint64_t kWorkloadSeed = 0x5EEDBA7C4ull;
 constexpr double kSsspFraction = 0.25;
 constexpr int kBatchSizes[] = {1, 8, 32, 64};
+// The selfcheck's amortization floor, held at K = kAmortizationGateK.
+constexpr int kAmortizationGateK = 32;
+constexpr double kMinAmortization = 2.0;
 
 double ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<double>(
@@ -145,6 +151,7 @@ int Run(const RunContext& ctx, Report* report) {
   report->Row("dataset x mode", header, 24, 12);
 
   bool parity_ok = true;
+  double max_gate_amortization = 0;
   for (const std::string& symbol : SelectedSymbols(options)) {
     const graph::Csr& csr = LoadDataset(symbol, options);
     const std::vector<runtime::Request> queries =
@@ -189,6 +196,10 @@ int Run(const RunContext& ctx, Report* report) {
             union_edges > 0 ? static_cast<double>(k1_union_edges) /
                                   static_cast<double>(union_edges)
                             : 0;
+        if (k == kAmortizationGateK) {
+          max_gate_amortization = std::max(max_gate_amortization,
+                                           amortization);
+        }
         const double speedup = k1_qps > 0 ? qps / k1_qps : 0;
         const std::string suffix = "_k" + std::to_string(k);
 
@@ -255,16 +266,28 @@ int Run(const RunContext& ctx, Report* report) {
       "uncharged, with no stats sink, as the wire does.\n");
 
   if (ctx.selfcheck) {
+    const bool amortization_ok = max_gate_amortization >= kMinAmortization;
     report->Metric("", "", "selfcheck_parity_ok", parity_ok ? 1 : 0, "");
+    report->Metric("", "", "selfcheck_amortization_ok",
+                   amortization_ok ? 1 : 0, "");
     if (!parity_ok) {
       std::fprintf(stderr,
                    "selfcheck FAILED: batched serving differs from the "
                    "sequential single-source path\n");
-      return 1;
     }
+    if (!amortization_ok) {
+      std::fprintf(stderr,
+                   "selfcheck FAILED: max amortization_k%d is %.2fx, want "
+                   ">= %.2fx\n",
+                   kAmortizationGateK, max_gate_amortization,
+                   kMinAmortization);
+    }
+    if (!parity_ok || !amortization_ok) return 1;
     report->Text(
         "selfcheck OK: batched results byte-identical to sequential runs "
-        "for every dataset x mode x K\n");
+        "for every dataset x mode x K; max amortization_k" +
+        std::to_string(kAmortizationGateK) + " " +
+        FormatDouble(max_gate_amortization) + "x\n");
   }
   return 0;
 }

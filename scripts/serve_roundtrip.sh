@@ -7,8 +7,11 @@
 # dedicated in-process QueryService run) and --require-ok, then
 # SIGINT-drain the server and require a clean exit 0.
 #
-# Before that, usage errors -- no --listen, a retired simulated-serving
-# flag, a non-numeric count -- must exit exactly 2 without binding.
+# Before that, usage errors must exit exactly 2 without binding or
+# connecting: for the server, no --listen, a retired simulated-serving
+# flag, a flag nothing in it reads (--threads, --sources) or a
+# non-numeric count; for the client (no server is up yet), the same
+# unread flags, the retired --mode, and malformed numbers.
 #
 # Usage: serve_roundtrip.sh <emogi_serve> <emogi_client> <scratch-dir>
 # Respects EMOGI_SCALE / EMOGI_SOURCES etc. via the tools' own env
@@ -36,10 +39,11 @@ cleanup() {
 trap cleanup EXIT
 
 # A flag the server ignored would leave it serving; `timeout` turns
-# that into a nonzero status other than 2 instead of a hang.
+# that into a nonzero status other than 2 instead of a hang. A client
+# that accepted its flags would fail to connect instead (exit 3).
 expect_usage_error() {
   local status=0
-  timeout 60 "$SERVE" "$@" >"$DIR/usage.log" 2>&1 || status=$?
+  timeout 60 "$@" >"$DIR/usage.log" 2>&1 || status=$?
   if [ "$status" -ne 2 ] || [ -e "$SOCK" ]; then
     echo "serve_roundtrip: '$*' exited $status, want usage error 2" \
          "with no socket" >&2
@@ -47,11 +51,18 @@ expect_usage_error() {
     exit 1
   fi
 }
-expect_usage_error --filter sym=GK
-expect_usage_error --listen "$SOCK" --burst --filter sym=GK
-expect_usage_error --listen "$SOCK" --filter sym=GK --closed-loop 4
-expect_usage_error --listen "$SOCK" --filter sym=GK --queries 8
-expect_usage_error --listen "$SOCK" --filter sym=GK --max-lanes abc
+expect_usage_error "$SERVE" --filter sym=GK
+for flags in "--burst" "--closed-loop 4" "--queries 8" "--max-lanes abc" \
+             "--threads 8" "--sources 2"; do
+  # shellcheck disable=SC2086  # $flags is a flag and its value.
+  expect_usage_error "$SERVE" --listen "$SOCK" --filter sym=GK $flags
+done
+for flags in "--threads 2" "--sources 2" "--mode UVM" "--deadline-ms -5" \
+             "--source abc" "--graph abc" "--weight 4294967296"; do
+  # shellcheck disable=SC2086
+  expect_usage_error "$CLIENT" --connect "$SOCK" --kind BFS $flags
+done
+expect_usage_error "$CLIENT" --connect "$SOCK" --replay 4 --seed abc
 
 "$SERVE" --listen "$SOCK" --filter sym=GK >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!

@@ -18,13 +18,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench/json.h"
 #include "bench/report.h"
+#include "cli_flags.h"
 
 namespace emogi {
 namespace {
@@ -132,15 +133,13 @@ int Main(int argc, char** argv) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
       // Reject every malformed shape loudly instead of misbehaving:
-      // missing '=' or metric name, empty PCT (strtod consumes nothing),
-      // trailing garbage, negative, and the nan/inf spellings strtod
-      // accepts but no tolerance band can mean.
-      const char* pct_text =
-          eq == std::string::npos ? "" : spec.c_str() + eq + 1;
-      char* end = nullptr;
-      const double pct = std::strtod(pct_text, &end);
-      if (eq == std::string::npos || eq == 0 || end == pct_text ||
-          *end != '\0' || !std::isfinite(pct) || pct < 0) {
+      // missing '=' or metric name, empty PCT, trailing garbage,
+      // negative, and the nan/inf spellings strtod would take but no
+      // tolerance band can mean.
+      double pct = 0;
+      if (eq == std::string::npos || eq == 0 ||
+          !tools::ParseReal(spec.substr(eq + 1), 0,
+                            std::numeric_limits<double>::max(), &pct)) {
         std::fprintf(stderr,
                      "bench_compare: bad --tolerance '%s' (want METRIC=PCT "
                      "with PCT a finite number >= 0)\n",

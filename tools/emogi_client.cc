@@ -13,28 +13,31 @@
 //     trace replay:
 //       --replay N [--seed S] [--sssp-fraction F] [--cc-fraction F]
 //                  [--window W] [--check] [--require-ok]
-//                  [--mode UVM|Naive|Merged|Merged+Aligned]
 //                  [--scale N] [--filter sym=A,B] [--data-dir D] ...
 //
 // --check loads the same datasets locally and compares every kOk answer
 // against a dedicated in-process QueryService::Submit of the same
 // request (status, payload vectors, edges_scanned): the wire path must
-// be answer-identical to the in-process path. --require-ok additionally
-// fails the replay if any response is not kOk.
+// be answer-identical to the in-process path. No compared field depends
+// on the access mode, so the reference serves Merged+Aligned.
+// --require-ok additionally fails the replay if any response is not kOk.
+//
+// Every numeric flag is parsed strictly (tools/cli_flags.h), and
+// --threads / --sources, which nothing here reads, are rejected: a bad
+// or ignored flag exits 2 before anything connects.
 //
 // Exit codes: 0 success (and parity, when checked); 1 server error,
 // parity mismatch, or --require-ok violation; 2 usage error;
 // 3 connect/handshake failure.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench/options.h"
 #include "bench/workload.h"
+#include "cli_flags.h"
 #include "core/config.h"
 #include "graph/datasets.h"
 #include "net/client.h"
@@ -42,6 +45,12 @@
 #include "serve/server.h"
 
 namespace {
+
+using emogi::tools::ParseFlag;
+
+constexpr char kTool[] = "emogi_client";
+// Keeps the deadline's conversion to nanoseconds inside uint64_t.
+constexpr double kMaxDeadlineMs = 1e12;
 
 struct ClientFlags {
   std::string connect;
@@ -59,7 +68,6 @@ struct ClientFlags {
   int window = 8;  // Pipelining depth; keep <= the server's queue bound.
   bool check = false;
   bool require_ok = false;
-  emogi::core::AccessMode mode = emogi::core::AccessMode::kMergedAligned;
 };
 
 bool ParseKind(const std::string& value, emogi::runtime::QueryKind* kind) {
@@ -70,17 +78,6 @@ bool ParseKind(const std::string& value, emogi::runtime::QueryKind* kind) {
   return true;
 }
 
-bool ParseMode(const std::string& value, emogi::core::AccessMode* mode) {
-  for (const emogi::core::AccessMode candidate :
-       emogi::core::AllAccessModes()) {
-    if (value == emogi::core::ToString(candidate)) {
-      *mode = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --connect <path|host:port> [--tenant NAME] "
@@ -89,8 +86,7 @@ int Usage(const char* argv0) {
                "[--deadline-ms MS]\n"
                "        | --replay N [--seed S] [--sssp-fraction F] "
                "[--cc-fraction F] [--window W]\n"
-               "          [--check] [--require-ok] "
-               "[--mode UVM|Naive|Merged|Merged+Aligned]\n"
+               "          [--check] [--require-ok]\n"
                "          [--scale N] [--filter sym=A,B] [--data-dir D] "
                "[--cache-dir D]\n",
                argv0);
@@ -146,15 +142,7 @@ int main(int argc, char** argv) {
     } else if (arg == "tenant") {
       flags.tenant = value;
     } else if (arg == "weight") {
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "emogi_client: --weight '%s' is not a positive integer\n",
-                     value.c_str());
-        return 2;
-      }
-      flags.weight =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!ParseFlag(kTool, arg, value, 1, &flags.weight)) return 2;
     } else if (arg == "kind") {
       flags.single = true;
       if (!ParseKind(value, &flags.request.kind)) {
@@ -163,36 +151,36 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "source") {
-      flags.request.source =
-          static_cast<emogi::graph::VertexId>(std::strtoul(
-              value.c_str(), nullptr, 10));
+      if (!ParseFlag(kTool, arg, value, 0, &flags.request.source)) return 2;
     } else if (arg == "graph") {
-      flags.request.graph = std::atoi(value.c_str());
+      if (!ParseFlag(kTool, arg, value, 0, &flags.request.graph)) return 2;
     } else if (arg == "deadline-ms") {
-      flags.deadline_ms = std::atof(value.c_str());
-    } else if (arg == "replay") {
-      flags.replay = std::atoi(value.c_str());
-    } else if (arg == "seed") {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (arg == "sssp-fraction") {
-      flags.sssp_fraction = std::atof(value.c_str());
-    } else if (arg == "cc-fraction") {
-      flags.cc_fraction = std::atof(value.c_str());
-    } else if (arg == "window") {
-      flags.window = std::atoi(value.c_str());
-    } else if (arg == "mode") {
-      if (!ParseMode(value, &flags.mode)) {
-        std::fprintf(stderr, "emogi_client: unknown --mode '%s'\n",
-                     value.c_str());
+      if (!ParseFlag(kTool, arg, value, 0, &flags.deadline_ms,
+                     kMaxDeadlineMs)) {
         return 2;
       }
+    } else if (arg == "replay") {
+      if (!ParseFlag(kTool, arg, value, 1, &flags.replay)) return 2;
+    } else if (arg == "seed") {
+      if (!ParseFlag(kTool, arg, value, 0, &flags.seed)) return 2;
+    } else if (arg == "sssp-fraction") {
+      if (!ParseFlag(kTool, arg, value, 0, &flags.sssp_fraction, 1)) return 2;
+    } else if (arg == "cc-fraction") {
+      if (!ParseFlag(kTool, arg, value, 0, &flags.cc_fraction, 1)) return 2;
+    } else if (arg == "window") {
+      if (!ParseFlag(kTool, arg, value, 1, &flags.window)) return 2;
+    } else if (arg == "threads" || arg == "sources") {
+      // Nothing in the client reads them; accepting them would silently
+      // ignore the caller's setting.
+      std::fprintf(stderr, "%s: --%s has no effect here\n", kTool,
+                   arg.c_str());
+      return Usage(argv[0]);
     } else if (!options.Set(arg, value)) {
       return Usage(argv[0]);
     }
   }
   if (flags.connect.empty()) return Usage(argv[0]);
   if (flags.single == (flags.replay > 0)) return Usage(argv[0]);
-  if (flags.replay > 0 && flags.window <= 0) return Usage(argv[0]);
   flags.request.deadline_ns =
       static_cast<std::uint64_t>(flags.deadline_ms * 1e6);
 
@@ -267,8 +255,7 @@ int main(int argc, char** argv) {
   // The dedicated in-process reference for --check.
   emogi::runtime::QueryService reference;
   if (flags.check) {
-    emogi::core::EmogiConfig config =
-        emogi::core::EmogiConfig::ForMode(flags.mode);
+    emogi::core::EmogiConfig config = emogi::core::EmogiConfig::MergedAligned();
     config.device.scale_factor = options.scale;
     for (std::size_t s = 0; s < csrs.size(); ++s) {
       reference.AddGraph(*csrs[s], config, symbols[s]);

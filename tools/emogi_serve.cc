@@ -26,16 +26,15 @@
 
 #include <unistd.h>
 
-#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/format.h"
 #include "bench/options.h"
 #include "bench/workload.h"
+#include "cli_flags.h"
 #include "core/config.h"
 #include "net/listener.h"
 #include "runtime/query_service.h"
@@ -44,6 +43,9 @@
 namespace {
 
 using emogi::bench::FormatDouble;
+using emogi::tools::ParseFlag;
+
+constexpr char kTool[] = "emogi_serve";
 
 struct ServeFlags {
   std::string listen;
@@ -77,26 +79,6 @@ bool ParseMode(const std::string& value, emogi::core::AccessMode* mode) {
     }
   }
   return false;
-}
-
-// Digits only, at least 1, at most INT_MAX. A sign, a suffix, a zero
-// or an overflowing value is a usage error (exit 2) rather than a
-// silently clamped or wrapped setting.
-bool ParsePositiveInt(const std::string& flag, const std::string& value,
-                      int* out) {
-  const bool digits = !value.empty() && value.find_first_not_of(
-                                            "0123456789") == std::string::npos;
-  // strtoull saturates at ULLONG_MAX on overflow, so one bound covers it.
-  const unsigned long long parsed =
-      digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
-  if (parsed == 0 || parsed > INT_MAX) {
-    std::fprintf(stderr,
-                 "emogi_serve: --%s '%s' is not a positive integer\n",
-                 flag.c_str(), value.c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
 }
 
 int Usage(const char* argv0) {
@@ -141,13 +123,21 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "max-lanes") {
-      if (!ParsePositiveInt(arg, value, &flags.max_lanes)) return 2;
+      if (!ParseFlag(kTool, arg, value, 1, &flags.max_lanes)) return 2;
     } else if (arg == "queue-bound") {
-      if (!ParsePositiveInt(arg, value, &flags.queue_bound)) return 2;
+      if (!ParseFlag(kTool, arg, value, 1, &flags.queue_bound)) return 2;
     } else if (arg == "max-conns") {
-      if (!ParsePositiveInt(arg, value, &flags.max_conns)) return 2;
+      if (!ParseFlag(kTool, arg, value, 1, &flags.max_conns)) return 2;
     } else if (arg == "drain-timeout-ms") {
-      if (!ParsePositiveInt(arg, value, &flags.drain_timeout_ms)) return 2;
+      if (!ParseFlag(kTool, arg, value, 1, &flags.drain_timeout_ms)) {
+        return 2;
+      }
+    } else if (arg == "threads" || arg == "sources") {
+      // Nothing in the wire server reads them; accepting them would
+      // silently ignore the caller's setting.
+      std::fprintf(stderr, "%s: --%s has no effect here\n", kTool,
+                   arg.c_str());
+      return Usage(argv[0]);
     } else if (!options.Set(arg, value)) {
       return Usage(argv[0]);
     }
