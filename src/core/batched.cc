@@ -73,6 +73,7 @@ std::uint64_t BatchedBfsPolicy::DatasetBytes() const {
 BatchedSsspPolicy::BatchedSsspPolicy(
     const graph::Csr& csr, const std::vector<graph::VertexId>& sources)
     : csr_(csr),
+      weights_(csr.EdgeWeights()),
       lanes_(static_cast<int>(sources.size())),
       sources_(sources),
       frontier_mask_(csr.num_vertices(), 0),
@@ -114,21 +115,22 @@ void BatchedSsspPolicy::Expand(graph::VertexId v,
     base_of[count] = base_row[lane];
     ++count;
   }
-  graph::EdgeIndex e = csr_.NeighborBegin(v);
-  const graph::VertexId* neighbor = csr_.NeighborData(e);
+  const graph::EdgeIndex begin = csr_.NeighborBegin(v);
+  const graph::VertexId* neighbor = csr_.NeighborData(begin);
   const graph::VertexId* const end = neighbor + degree;
+  const std::uint8_t* weight = weights_ + begin;
   // Locals, not members: next->push_back could alias them, which would
   // force a reload on every edge.
   const std::size_t row_width = lanes_;
   std::uint64_t* const dist = dist_.data();
   LaneMask* const next_mask = next_mask_.data();
-  for (; neighbor != end; ++neighbor, ++e) {
+  for (; neighbor != end; ++neighbor, ++weight) {
     const graph::VertexId w = *neighbor;
-    const std::uint64_t weight = graph::EdgeWeight(e);
+    const std::uint64_t edge_weight = *weight;
     std::uint64_t* const dist_row = dist + w * row_width;
     LaneMask improved = 0;
     for (int j = 0; j < count; ++j) {
-      const std::uint64_t candidate = base_of[j] + weight;
+      const std::uint64_t candidate = base_of[j] + edge_weight;
       if (candidate < dist_row[lane_of[j]]) {
         dist_row[lane_of[j]] = candidate;
         improved |= bit_of[j];

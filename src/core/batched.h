@@ -18,7 +18,10 @@
 // edge for every scanning lane touches one row of the neighbor, and it
 // compacts a frontier vertex's scanning lanes (and the distances they
 // relax from) once per list scan, not once per edge. Its
-// `distances(lane)` therefore returns a copy gathered from the rows.
+// `distances(lane)` therefore returns a copy gathered from the rows. It
+// reads each edge's weight from the graph's table
+// (graph::Csr::EdgeWeights()), fetched once at construction, as the
+// single-source SsspPolicy does.
 //
 // These are ordinary engine policies (the frontier-loop contract of
 // core/engine.h), so they ride the existing monomorphization for free:
@@ -149,6 +152,7 @@ class BatchedSsspPolicy {
   }
 
   const graph::Csr& csr_;
+  const std::uint8_t* weights_;  // csr_.EdgeWeights().
   int lanes_;
   std::vector<graph::VertexId> sources_;
   std::vector<LaneMask> frontier_mask_;

@@ -39,6 +39,7 @@ std::uint64_t BfsPolicy::DatasetBytes() const { return csr_.EdgeListBytes(); }
 
 SsspPolicy::SsspPolicy(const graph::Csr& csr, graph::VertexId source)
     : csr_(csr),
+      weights_(csr.EdgeWeights()),
       source_(source),
       distances_(csr.num_vertices(), kInfDistance),
       queued_(csr.num_vertices(), 0) {}
@@ -52,14 +53,21 @@ void SsspPolicy::Expand(graph::VertexId v,
                         std::vector<graph::VertexId>* next) {
   queued_[v] = 0;
   const std::uint64_t base_distance = distances_[v];
-  for (graph::EdgeIndex e = csr_.NeighborBegin(v); e < csr_.NeighborEnd(v);
-       ++e) {
-    const graph::VertexId w = csr_.Neighbor(e);
-    const std::uint64_t candidate = base_distance + graph::EdgeWeight(e);
-    if (candidate < distances_[w]) {
-      distances_[w] = candidate;
-      if (!queued_[w]) {
-        queued_[w] = 1;
+  const graph::EdgeIndex begin = csr_.NeighborBegin(v);
+  const graph::VertexId* neighbor = csr_.NeighborData(begin);
+  const graph::VertexId* const end = neighbor + csr_.Degree(v);
+  const std::uint8_t* weight = weights_ + begin;
+  // Locals, not members: a store through `queued` (a byte pointer, which
+  // may alias anything) would otherwise force a reload on every edge.
+  std::uint64_t* const distances = distances_.data();
+  std::uint8_t* const queued = queued_.data();
+  for (; neighbor != end; ++neighbor, ++weight) {
+    const graph::VertexId w = *neighbor;
+    const std::uint64_t candidate = base_distance + *weight;
+    if (candidate < distances[w]) {
+      distances[w] = candidate;
+      if (!queued[w]) {
+        queued[w] = 1;
         next->push_back(w);
       }
     }

@@ -128,7 +128,9 @@ class BfsPolicy {
 
 // Bellman-Ford-style SSSP: a vertex re-enters the frontier whenever its
 // distance improves; `queued_` dedups within one iteration. The kernel
-// streams both the neighbor ids and their weights.
+// streams both the neighbor ids and their weights; the host reads each
+// weight from the graph's table (graph::Csr::EdgeWeights()), fetched
+// once at construction, instead of hashing it per relaxation.
 class SsspPolicy {
  public:
   static constexpr bool kStreamsWeights = true;
@@ -145,6 +147,7 @@ class SsspPolicy {
 
  private:
   const graph::Csr& csr_;
+  const std::uint8_t* weights_;  // csr_.EdgeWeights().
   graph::VertexId source_;
   std::vector<std::uint64_t> distances_;
   std::vector<std::uint8_t> queued_;

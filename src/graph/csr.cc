@@ -30,6 +30,7 @@ Csr::Csr(const Csr& other)
     : owned_offsets_(other.owned_offsets_),
       owned_neighbors_(other.owned_neighbors_),
       backing_(other.backing_),
+      weights_(other.weights_),
       directed_(other.directed_),
       edge_elem_bytes_(other.edge_elem_bytes_),
       name_(other.name_) {
@@ -49,6 +50,17 @@ Csr& Csr::operator=(const Csr& other) {
   Csr copy(other);
   *this = std::move(copy);
   return *this;
+}
+
+const std::uint8_t* Csr::EdgeWeights() const {
+  std::call_once(weights_->built, [this] {
+    std::vector<std::uint8_t>& weights = weights_->weights;
+    weights.resize(num_edges());
+    for (EdgeIndex e = 0; e < weights.size(); ++e) {
+      weights[e] = static_cast<std::uint8_t>(EdgeWeight(e));
+    }
+  });
+  return weights_->weights.data();
 }
 
 bool Csr::Validate(std::string* error) const {

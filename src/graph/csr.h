@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,13 +25,19 @@ namespace emogi::graph {
 using VertexId = std::uint32_t;
 using EdgeIndex = std::uint64_t;
 
-// Deterministic positive weight of the edge at global index `e`, shared
-// by the simulated SSSP kernels and the CPU reference so results are
-// directly comparable.
+// Edge weights lie in 1..kMaxEdgeWeight, so one byte holds each: that
+// is what lets Csr::EdgeWeights() keep a one-byte table.
+inline constexpr std::uint32_t kMaxEdgeWeight = 31;
+static_assert(kMaxEdgeWeight <= 0xff, "Csr::EdgeWeights() stores one byte");
+
+// Deterministic positive weight of the edge at global index `e`. The
+// simulated SSSP kernels read it from Csr::EdgeWeights(), a table of
+// these values; the CPU reference hashes it here, so the two results
+// are directly comparable and the oracle does not share the table.
 inline std::uint32_t EdgeWeight(EdgeIndex e) {
   std::uint64_t x = (e + 1) * 0x9E3779B97F4A7C15ull;
   x ^= x >> 33;
-  return 1u + static_cast<std::uint32_t>(x % 31u);
+  return 1u + static_cast<std::uint32_t>(x % kMaxEdgeWeight);
 }
 
 // Non-owning read-only array view, the common currency for whole-graph
@@ -77,8 +84,9 @@ class Csr {
       std::string name, std::shared_ptr<const void> backing);
 
   // Copies re-anchor the array pointers when the source owns its
-  // vectors; views stay views (sharing the backing). Moves transfer the
-  // vector buffers, whose addresses are stable, so the defaults hold.
+  // vectors; views stay views (sharing the backing). Both share the
+  // weight table. Moves transfer the vector buffers, whose addresses
+  // are stable, so the defaults hold.
   Csr(const Csr& other);
   Csr& operator=(const Csr& other);
   Csr(Csr&& other) noexcept = default;
@@ -113,6 +121,14 @@ class Csr {
     return ConstSpan<VertexId>(neighbors_, neighbors_size_);
   }
 
+  // EdgeWeight(e) for every stored edge e, one byte per arc (host
+  // memory, not the simulated layout: the model still charges
+  // kWeightBytes per weight). Built on the first call, under
+  // std::call_once, so concurrent first calls are safe and all get the
+  // same table; copies of this Csr share it. Like the arrays, it is
+  // unusable on a moved-from Csr.
+  const std::uint8_t* EdgeWeights() const;
+
   // Bytes of one edge element as laid out in (simulated) host memory.
   // 8 in the paper's default layout; Subway supports only 4.
   std::uint32_t edge_elem_bytes() const { return edge_elem_bytes_; }
@@ -143,6 +159,12 @@ class Csr {
   const VertexId* neighbors_ = nullptr;
   std::size_t neighbors_size_ = 0;
   std::shared_ptr<const void> backing_;
+  // The lazily built EdgeWeights() table, in a block copies share.
+  struct WeightTable {
+    std::once_flag built;
+    std::vector<std::uint8_t> weights;
+  };
+  std::shared_ptr<WeightTable> weights_ = std::make_shared<WeightTable>();
   bool directed_ = false;
   std::uint32_t edge_elem_bytes_ = 8;
   std::string name_;

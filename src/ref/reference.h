@@ -1,7 +1,9 @@
 // Plain CPU reference implementations of the three traversal apps.
 // These are the correctness oracles: the simulated kernels in core/ must
-// produce identical levels/distances/labels (they share graph::EdgeWeight
-// so SSSP results are directly comparable).
+// produce identical levels/distances/labels. The SSSP kernels read
+// their weights from graph::Csr::EdgeWeights(); the oracle hashes
+// graph::EdgeWeight(e) on purpose, so a wrong table cannot also be the
+// reference it is checked against.
 
 #ifndef EMOGI_REF_REFERENCE_H_
 #define EMOGI_REF_REFERENCE_H_
@@ -20,7 +22,7 @@ inline constexpr std::uint64_t kInfDistance = ~0ull;
 std::vector<std::uint32_t> BfsLevels(const graph::Csr& csr,
                                      graph::VertexId source);
 
-// Dijkstra over graph::EdgeWeight.
+// Dijkstra over graph::EdgeWeight (hashed per edge, not the table).
 std::vector<std::uint64_t> SsspDistances(const graph::Csr& csr,
                                          graph::VertexId source);
 

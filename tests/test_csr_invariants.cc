@@ -1,13 +1,25 @@
 // CSR structural invariants on every generated dataset: monotone sorted
 // offsets, edge-count consistency, in-range sorted neighbor lists, and
-// deterministic regeneration / source picking.
+// deterministic regeneration / source picking. Also the lazily built
+// edge-weight table: equal to graph::EdgeWeight on resident, empty and
+// paged graphs, shared by copies, and built once under a racing first
+// use.
 
+#include <stdlib.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "graph/datasets.h"
 #include "graph/degree_stats.h"
 #include "graph/generators.h"
+#include "io/csr_cache.h"
+#include "io/paged_csr.h"
 #include "test_util.h"
 
 namespace emogi {
@@ -83,6 +95,85 @@ void TestUniformRandomGenerator() {
   CHECK_NEAR(csr.AverageDegree(), 16.0, 2.0);
 }
 
+bool TableMatchesHash(const std::uint8_t* weights, graph::EdgeIndex edges) {
+  for (graph::EdgeIndex e = 0; e < edges; ++e) {
+    if (weights[e] != graph::EdgeWeight(e)) return false;
+  }
+  return true;
+}
+
+bool WeightsMatchHash(const graph::Csr& csr) {
+  return TableMatchesHash(csr.EdgeWeights(), csr.num_edges());
+}
+
+void TestEdgeWeightTable() {
+  for (const char* symbol : {"GU", "GK"}) {
+    const graph::Csr& csr = graph::LoadOrGenerateDataset(symbol, 16384);
+    CHECK(csr.num_edges() > 0);
+    CHECK(WeightsMatchHash(csr));
+  }
+  const graph::Csr empty;
+  CHECK(empty.num_edges() == 0);
+  CHECK(WeightsMatchHash(empty));
+
+  // Copies share the table, whichever side builds it first.
+  const graph::Csr gu = graph::LoadOrGenerateDataset("GU", 16384);
+  const graph::Csr copy(gu);
+  graph::Csr assigned;
+  assigned = gu;
+  CHECK(copy.EdgeWeights() == gu.EdgeWeights());
+  CHECK(assigned.EdgeWeights() == gu.EdgeWeights());
+  const graph::Csr fresh = graph::GenerateUniformRandom(1 << 10, 8, 7);
+  const graph::Csr fresh_copy(fresh);
+  const std::uint8_t* built_by_copy = fresh_copy.EdgeWeights();
+  CHECK(fresh.EdgeWeights() == built_by_copy);
+
+  // A paged view loaded from the CSR cache.
+  char dir_template[] = "/tmp/emogi_csr_invariants_XXXXXX";
+  const char* dir = ::mkdtemp(dir_template);
+  CHECK(dir != nullptr);
+  const std::string path = std::string(dir) + "/gu.csr";
+  std::string error;
+  CHECK(io::SaveCsrCache(gu, path, 0, &error));
+  {
+    io::MappedCsrView view;
+    CHECK(io::OpenPagedCsr(path, 0, &view, &error));
+    CHECK(view.csr().is_view());
+    CHECK(view.csr().num_edges() == gu.num_edges());
+    CHECK(WeightsMatchHash(view.csr()));
+    const graph::Csr view_copy = view.csr();
+    CHECK(view_copy.EdgeWeights() == view.csr().EdgeWeights());
+  }
+  CHECK(std::remove(path.c_str()) == 0);
+  CHECK(::rmdir(dir) == 0);
+}
+
+void TestConcurrentFirstEdgeWeights() {
+  // Four threads race the first call on a fresh graph: the table is
+  // built once, and every caller reads it whole.
+  const graph::Csr csr = graph::GenerateUniformRandom(1 << 14, 16, 99);
+  constexpr int kThreads = 4;
+  std::vector<const std::uint8_t*> seen(kThreads, nullptr);
+  std::vector<char> whole(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      seen[t] = csr.EdgeWeights();
+      whole[t] = TableMatchesHash(seen[t], csr.num_edges());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    CHECK(seen[t] != nullptr);
+    CHECK(seen[t] == seen[0]);
+    CHECK(whole[t]);
+  }
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -91,6 +182,8 @@ int main() {
   emogi::TestDeterminism();
   emogi::TestDegreeShapes();
   emogi::TestUniformRandomGenerator();
+  emogi::TestEdgeWeightTable();
+  emogi::TestConcurrentFirstEdgeWeights();
   std::printf("test_csr_invariants: OK\n");
   return 0;
 }
