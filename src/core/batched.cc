@@ -33,14 +33,18 @@ void BatchedBfsPolicy::InitFrontier(std::vector<graph::VertexId>* frontier) {
   depth_ = 0;
 }
 
-void BatchedBfsPolicy::Expand(graph::VertexId v,
-                              std::vector<graph::VertexId>* next) {
-  const LaneMask scanning = frontier_mask_[v];
+std::uint64_t BatchedBfsPolicy::CountScan(graph::VertexId v) {
   const std::uint64_t degree = csr_.Degree(v);
   union_edges_ += degree;
-  for (LaneMask m = scanning; m != 0; m &= m - 1) {
+  for (LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
     lane_edges_[LowestLane(m)] += degree;
   }
+  return degree;
+}
+
+void BatchedBfsPolicy::PushFrom(graph::VertexId v,
+                                std::vector<graph::VertexId>* next) {
+  const LaneMask scanning = frontier_mask_[v];
   const std::uint32_t next_level = depth_ + 1;
   for (graph::EdgeIndex e = csr_.NeighborBegin(v); e < csr_.NeighborEnd(v);
        ++e) {
@@ -56,6 +60,40 @@ void BatchedBfsPolicy::Expand(graph::VertexId v,
   }
 }
 
+void BatchedBfsPolicy::PullAll(const graph::Csr& reverse, LaneMask active,
+                               std::vector<graph::VertexId>* next) {
+  const std::uint32_t next_level = depth_ + 1;
+  const LaneMask* const frontier_mask = frontier_mask_.data();
+  const graph::VertexId vertex_count = csr_.num_vertices();
+  for (graph::VertexId v = 0; v < vertex_count; ++v) {
+    const LaneMask miss = active & ~seen_[v];
+    if (miss == 0) continue;
+    // The lanes with an in-neighbor of v on their frontier; stop once
+    // they cover every lane still missing v.
+    LaneMask found = 0;
+    const graph::VertexId* in = reverse.NeighborData(reverse.NeighborBegin(v));
+    const graph::VertexId* const end = in + reverse.Degree(v);
+    for (; in != end; ++in) {
+      found |= frontier_mask[*in];
+      if ((found & miss) == miss) break;
+    }
+    const LaneMask discovered = found & miss;
+    if (discovered == 0) continue;
+    next->push_back(v);
+    next_mask_[v] = discovered;
+    seen_[v] |= discovered;
+    for (LaneMask m = discovered; m != 0; m &= m - 1) {
+      levels_[LowestLane(m)][v] = next_level;
+    }
+  }
+}
+
+void BatchedBfsPolicy::Expand(graph::VertexId v,
+                              std::vector<graph::VertexId>* next) {
+  CountScan(v);
+  PushFrom(v, next);
+}
+
 void BatchedBfsPolicy::NextFrontier(std::vector<graph::VertexId>* frontier,
                                     std::vector<graph::VertexId>* next) {
   for (const graph::VertexId v : *frontier) frontier_mask_[v] = 0;
@@ -66,6 +104,65 @@ void BatchedBfsPolicy::NextFrontier(std::vector<graph::VertexId>* frontier,
 
 std::uint64_t BatchedBfsPolicy::DatasetBytes() const {
   return csr_.EdgeListBytes();
+}
+
+// --- Direction-optimizing answer-only BFS -----------------------------------
+
+namespace {
+
+// Beamer, Asanovic and Patterson's switch thresholds (SC'12): go
+// bottom-up once the frontier's out-edges exceed 1/alpha of the edges
+// left to check, and back top-down once the frontier holds fewer than
+// 1/beta of the vertices.
+constexpr std::uint64_t kBottomUpAlpha = 14;
+constexpr std::uint64_t kTopDownBeta = 24;
+
+}  // namespace
+
+void RunUncharged(const graph::Csr& csr, BatchedBfsPolicy& policy) {
+  const graph::Csr& reverse = csr.Reverse();
+  const LaneMask all_lanes = policy.lanes_ == kMaxBatchLanes
+                                 ? ~LaneMask{0}
+                                 : (LaneMask{1} << policy.lanes_) - 1;
+  // In-edges of the vertices some lane has not seen yet: what bottom-up
+  // steps may still check. A vertex leaves once every lane has seen it.
+  std::uint64_t unexplored_edges = csr.num_edges();
+  const auto retire_seen = [&](const std::vector<graph::VertexId>& found) {
+    for (const graph::VertexId v : found) {
+      if (policy.seen_[v] == all_lanes) unexplored_edges -= reverse.Degree(v);
+    }
+  };
+
+  std::vector<graph::VertexId> frontier;
+  std::vector<graph::VertexId> next;
+  policy.InitFrontier(&frontier);
+  retire_seen(frontier);
+  bool bottom_up = false;
+  while (!frontier.empty()) {
+    // Whichever direction found it, this is the frontier a top-down run
+    // scans, so lane_edges and union_edges count its degrees as the
+    // charged run does.
+    std::uint64_t frontier_edges = 0;
+    LaneMask active = 0;
+    for (const graph::VertexId v : frontier) {
+      frontier_edges += policy.CountScan(v);
+      active |= policy.frontier_mask_[v];
+    }
+    if (bottom_up) {
+      bottom_up = frontier.size() * kTopDownBeta >= csr.num_vertices();
+    } else {
+      bottom_up = frontier_edges * kBottomUpAlpha > unexplored_edges;
+    }
+    next.clear();
+    if (bottom_up) {
+      policy.PullAll(reverse, active, &next);
+      ++policy.bottom_up_steps_;
+    } else {
+      for (const graph::VertexId v : frontier) policy.PushFrom(v, &next);
+    }
+    retire_seen(next);
+    policy.NextFrontier(&frontier, &next);
+  }
 }
 
 // --- Batched SSSP -----------------------------------------------------------

@@ -28,6 +28,24 @@
 // `DispatchRun(csr, config, batched_policy)` instantiates the static
 // (batched-policy x access-mode) engine the same way the single-source
 // policies do, with the mode's cost model inlined into the shared scan.
+// Charged runs are top-down, as the modelled GPU kernels are.
+//
+// Answer-only runs of BatchedBfsPolicy (`RunUncharged` below, what the
+// wire's waves run) are direction-optimizing: Beamer, Asanovic and
+// Patterson's BFS (SC'12) in the bit-parallel multi-source form of Then
+// et al. (PVLDB 8(4), 2014). At each depth the union frontier either
+// pushes along its out-lists (top-down) or every vertex some active
+// lane has not seen pulls from its in-lists (bottom-up, over the
+// graph's reverse index, graph::Csr::Reverse()), stopping once it has
+// found a frontier in-neighbor for every such lane. The rule, with
+// Beamer's alpha = 14 and beta = 24: step bottom-up once the union
+// frontier's out-edges exceed 1/alpha of the in-edges of the vertices
+// not yet seen by every lane, and return top-down once the union
+// frontier holds fewer than 1/beta of the vertices. The union frontier
+// at each depth is the same set whichever direction found it, so every
+// lane's levels, lane_edges and union_edges equal DispatchRun's: the
+// edge counts are still the union frontier's degree sums, the edges a
+// top-down run scans, not the in-edges a bottom-up step reads.
 //
 // Lane-exactness contracts (enforced by tests/test_query_batcher.cc):
 //
@@ -36,7 +54,8 @@
 //    are byte-identical to a single-source BfsPolicy run from that
 //    lane's source, for any K and any lane packing; at K = 1 the whole
 //    scan sequence (and therefore TraversalStats) is byte-identical to
-//    BfsPolicy's.
+//    BfsPolicy's. The uncharged, direction-optimizing run gives the same
+//    levels, lane_edges and union_edges as the charged one.
 //
 //  * BatchedSsspPolicy: Bellman-Ford with *iteration-start* relaxation
 //    (each frontier vertex relaxes from the distance it had when the
@@ -106,12 +125,28 @@ class BatchedBfsPolicy {
   // shared scan once) -- what the accountant was charged for. The
   // amortization ratio is sum(lane_edges) / union_edges.
   std::uint64_t union_edges() const { return union_edges_; }
+  // Levels an answer-only run stepped bottom-up (always 0 after a
+  // charged run).
+  int bottom_up_steps() const { return bottom_up_steps_; }
 
  private:
+  friend void RunUncharged(const graph::Csr& csr, BatchedBfsPolicy& policy);
+
+  // Adds v's degree to union_edges_ and to each lane scanning v, and
+  // returns the degree.
+  std::uint64_t CountScan(graph::VertexId v);
+  // Top-down: discovers v's out-neighbors for the lanes scanning v.
+  void PushFrom(graph::VertexId v, std::vector<graph::VertexId>* next);
+  // Bottom-up: every vertex some `active` lane has not seen looks for a
+  // frontier vertex among its in-neighbors in `reverse`.
+  void PullAll(const graph::Csr& reverse, LaneMask active,
+               std::vector<graph::VertexId>* next);
+
   const graph::Csr& csr_;
   int lanes_;
   std::vector<graph::VertexId> sources_;
   std::uint32_t depth_ = 0;
+  int bottom_up_steps_ = 0;
   std::vector<LaneMask> frontier_mask_;  // Lanes scanning v this kernel.
   std::vector<LaneMask> next_mask_;      // Lanes that discovered v this kernel.
   std::vector<LaneMask> seen_;           // Lanes that ever discovered v.
@@ -119,6 +154,14 @@ class BatchedBfsPolicy {
   std::vector<std::uint64_t> lane_edges_;           // [lane].
   std::uint64_t union_edges_ = 0;
 };
+
+// Answer-only run of a batched BFS, direction-optimizing (see the
+// header comment): levels, lane_edges and union_edges equal those of
+// DispatchRun on the same policy, under any access mode. As a
+// non-template overload it takes precedence over the generic
+// RunUncharged of core/engine.h. `csr` must be the policy's graph; the
+// first call on a graph builds its reverse index (graph::Csr::Reverse).
+void RunUncharged(const graph::Csr& csr, BatchedBfsPolicy& policy);
 
 // Multi-source Bellman-Ford SSSP with iteration-start relaxation (see
 // the header comment for the exactness contract). Lane state is

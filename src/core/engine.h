@@ -24,8 +24,10 @@
 // (core/static_accountant.h): one instantiation per (policy x access
 // mode) exists, with the mode's cost model inlined into the scan loop.
 // `DispatchRun` is the run entry picking that instantiation from
-// config.mode once per run. `RunUncharged` runs the same loop with
-// NoCostAccountant, for callers that read only the policy's answers.
+// config.mode once per run. `RunUncharged` is the entry for callers
+// that read only the policy's answers: it charges nothing, and a
+// batched BFS may take another route to the same answers there
+// (core/batched.h).
 
 #ifndef EMOGI_CORE_ENGINE_H_
 #define EMOGI_CORE_ENGINE_H_
@@ -92,10 +94,15 @@ TraversalStats DispatchRun(const graph::Csr& csr, const EmogiConfig& config,
   });
 }
 
-// Answer-only run entry: the same frontier loop, charged to
-// NoCostAccountant. The policy ends in exactly the state DispatchRun
-// leaves it in, under any access mode (no policy reads the cost model),
-// but the run builds no accountant and reports no cost.
+// Answer-only run entry: builds no accountant and reports no cost.
+// This generic version runs the same frontier loop charged to
+// NoCostAccountant, so the policy ends in exactly the state DispatchRun
+// leaves it in, under any access mode (no policy reads the cost model).
+// core/batched.h overloads it for BatchedBfsPolicy with a
+// direction-optimizing run, which ends with the same answers and edge
+// counts (levels, lane_edges, union_edges) but not the same internal
+// state. Single-source BfsPolicy stays top-down here: it is the
+// independent reference the batched answers are checked against.
 template <typename Policy>
 void RunUncharged(const graph::Csr& csr, Policy& policy) {
   NoCostAccountant accountant;

@@ -19,10 +19,12 @@
 //   the page table, misses migrate whole pages at bulk bandwidth plus a
 //   serial per-fault handler charge.
 // - NoCostAccountant charges nothing. It is for runs whose caller reads
-//   only the policy's answers (core::RunUncharged): frontier evolution
-//   never depends on the cost model, so the answers are those of a
-//   charged run, without the per-scan request bookkeeping or, under UVM,
-//   a page table per run.
+//   only the policy's answers (the generic core::RunUncharged): frontier
+//   evolution never depends on the cost model, so the answers are those
+//   of a charged run, without the per-scan request bookkeeping or, under
+//   UVM, a page table per run. An uncharged BatchedBfsPolicy run does
+//   not use it: it steps bottom-up where that is cheaper
+//   (core/batched.h), a scan sequence no accountant models.
 //
 // The engine charges every scan of every frontier vertex, so this is the
 // simulator's hottest call site. The types are concrete and final,

@@ -30,7 +30,7 @@ Csr::Csr(const Csr& other)
     : owned_offsets_(other.owned_offsets_),
       owned_neighbors_(other.owned_neighbors_),
       backing_(other.backing_),
-      weights_(other.weights_),
+      derived_(other.derived_),
       directed_(other.directed_),
       edge_elem_bytes_(other.edge_elem_bytes_),
       name_(other.name_) {
@@ -53,14 +53,36 @@ Csr& Csr::operator=(const Csr& other) {
 }
 
 const std::uint8_t* Csr::EdgeWeights() const {
-  std::call_once(weights_->built, [this] {
-    std::vector<std::uint8_t>& weights = weights_->weights;
+  std::call_once(derived_->weights_built, [this] {
+    std::vector<std::uint8_t>& weights = derived_->weights;
     weights.resize(num_edges());
     for (EdgeIndex e = 0; e < weights.size(); ++e) {
       weights[e] = static_cast<std::uint8_t>(EdgeWeight(e));
     }
   });
-  return weights_->weights.data();
+  return derived_->weights.data();
+}
+
+const Csr& Csr::Reverse() const {
+  std::call_once(derived_->reverse_built, [this] {
+    // Counting sort by target. Sources are visited in increasing order,
+    // so every reversed list comes out sorted.
+    std::vector<EdgeIndex> offsets(offsets_size_, 0);
+    for (EdgeIndex e = 0; e < num_edges(); ++e) ++offsets[neighbors_[e] + 1];
+    for (std::size_t i = 1; i < offsets.size(); ++i) {
+      offsets[i] += offsets[i - 1];
+    }
+    std::vector<VertexId> sources(num_edges());
+    std::vector<EdgeIndex> cursor(offsets);
+    for (VertexId u = 0; u < num_vertices(); ++u) {
+      for (EdgeIndex e = offsets_[u]; e < offsets_[u + 1]; ++e) {
+        sources[cursor[neighbors_[e]]++] = u;
+      }
+    }
+    derived_->reverse = std::make_unique<const Csr>(
+        std::move(offsets), std::move(sources), directed_, name_);
+  });
+  return *derived_->reverse;
 }
 
 bool Csr::Validate(std::string* error) const {

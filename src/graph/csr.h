@@ -85,8 +85,8 @@ class Csr {
 
   // Copies re-anchor the array pointers when the source owns its
   // vectors; views stay views (sharing the backing). Both share the
-  // weight table. Moves transfer the vector buffers, whose addresses
-  // are stable, so the defaults hold.
+  // derived data (weight table, reverse index). Moves transfer the
+  // vector buffers, whose addresses are stable, so the defaults hold.
   Csr(const Csr& other);
   Csr& operator=(const Csr& other);
   Csr(Csr&& other) noexcept = default;
@@ -129,6 +129,17 @@ class Csr {
   // unusable on a moved-from Csr.
   const std::uint8_t* EdgeWeights() const;
 
+  // The transpose: vertex v's list holds every u with an arc u -> v, in
+  // increasing u, keeping duplicate arcs and self-loops, so
+  // Reverse().Degree(v) is v's in-degree. Graphs marked undirected are
+  // stored one way, so this is not the graph itself. A resident Csr
+  // (E x 4 + (V + 1) x 8 bytes on the heap, paged views included),
+  // built on the first call under std::call_once and shared by copies,
+  // like EdgeWeights(). Only answer-only BFS runs read it
+  // (core::RunUncharged on a BatchedBfsPolicy), so programs that run
+  // only charged traversals never build it.
+  const Csr& Reverse() const;
+
   // Bytes of one edge element as laid out in (simulated) host memory.
   // 8 in the paper's default layout; Subway supports only 4.
   std::uint32_t edge_elem_bytes() const { return edge_elem_bytes_; }
@@ -159,12 +170,15 @@ class Csr {
   const VertexId* neighbors_ = nullptr;
   std::size_t neighbors_size_ = 0;
   std::shared_ptr<const void> backing_;
-  // The lazily built EdgeWeights() table, in a block copies share.
-  struct WeightTable {
-    std::once_flag built;
+  // What EdgeWeights() and Reverse() build lazily, in a block copies
+  // share.
+  struct Derived {
+    std::once_flag weights_built;
     std::vector<std::uint8_t> weights;
+    std::once_flag reverse_built;
+    std::unique_ptr<const Csr> reverse;
   };
-  std::shared_ptr<WeightTable> weights_ = std::make_shared<WeightTable>();
+  std::shared_ptr<Derived> derived_ = std::make_shared<Derived>();
   bool directed_ = false;
   std::uint32_t edge_elem_bytes_ = 8;
   std::string name_;

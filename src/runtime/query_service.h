@@ -44,10 +44,14 @@
 // shard's access-mode accountant (core::DispatchRun), one without a
 // sink -- the wire's net::Listener -- runs the waves uncharged
 // (core::RunUncharged). No answer field depends on the cost model, so
-// the responses are identical either way. Submit stays charged. A BFS
-// lane's levels are moved out of the policy; an SSSP lane's distances
-// are a copy gathered from the policy's vertex-major rows, once per
-// lane.
+// the responses are identical either way. An uncharged BFS wave is
+// direction-optimizing (core/batched.h): it steps bottom-up over the
+// graph's reverse index (graph::Csr::Reverse()), which the first such
+// wave on a graph builds, once, on its worker's thread. Its levels and
+// edges_scanned equal the top-down charged run's. Submit stays charged
+// and top-down. A BFS lane's levels are moved out of the policy; an
+// SSSP lane's distances are a copy gathered from the policy's
+// vertex-major rows, once per lane.
 //
 // CC has no per-query source, and a shard never changes while the
 // service lives, so every CC query on a shard has the same answer. Each
@@ -196,9 +200,10 @@ class QueryService {
   //
   // Safe to call from several threads at once once every AddGraph has
   // returned: it is const, the shard table and CSRs are only read, each
-  // charged BFS/SSSP wave builds its own accountant, and a shard's CC
+  // charged BFS/SSSP wave builds its own accountant, a shard's CC
   // answer is computed (charged) under std::call_once by whichever call
-  // needs it first.
+  // needs it first, and so is a graph's reverse index by the first
+  // uncharged BFS wave.
   // net::Listener's workers call it concurrently, one wave each.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests,
                                     BatchRunStats* stats = nullptr) const;

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -349,6 +351,11 @@ int main() {
   emogi::TestRejectsBadFiles();
   emogi::TestIngestAndRegeneration();
   emogi::TestLoadOrGenerateSeam();
+  // The whole scratch tree goes; a failed CHECK exits before this and
+  // leaves it for inspection.
+  std::error_code removed;
+  std::filesystem::remove_all(emogi::g_dir, removed);
+  CHECK(!removed);
   std::printf("test_csr_cache: OK\n");
   return 0;
 }

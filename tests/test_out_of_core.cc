@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "graph/csr.h"
@@ -480,6 +482,11 @@ int main() {
   emogi::TestSpillWriteFailure();
   emogi::TestPagedCsrView();
   emogi::TestIngestOptionsRouting();
+  // The whole scratch tree goes; a failed CHECK exits before this and
+  // leaves it for inspection.
+  std::error_code removed;
+  std::filesystem::remove_all(emogi::g_dir, removed);
+  CHECK(!removed);
   std::printf("test_out_of_core: OK\n");
   return 0;
 }

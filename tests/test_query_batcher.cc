@@ -27,11 +27,17 @@
 //  (f) Uncharged serving: a SubmitBatch without a stats sink (the wire's
 //      call) runs its BFS/SSSP waves with no cost model and returns
 //      responses equal in every field to the charged call's, also from
-//      concurrent callers racing a fresh service.
+//      concurrent callers racing a fresh service. The uncharged batched
+//      BFS steps bottom-up on large levels, and its levels, lane edges
+//      and union edges equal the top-down charged run's on directed and
+//      undirected analogs, at K in {1, 2, 7, 64}, with duplicate
+//      sources, and on graphs with unreachable vertices, self-loops and
+//      duplicate arcs.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -817,6 +823,85 @@ void TestUnchargedServingMatchesCharged() {
   }
 }
 
+// Runs `sources` charged (top-down, DispatchRun) and uncharged
+// (direction-optimizing) and checks every observable answer is equal.
+// Returns the uncharged run's bottom-up steps.
+int CheckUnchargedBfsMatchesCharged(
+    const graph::Csr& csr, const std::vector<graph::VertexId>& sources) {
+  core::EmogiConfig config = core::EmogiConfig::MergedAligned();
+  config.device.scale_factor = 1 << 14;
+  core::BatchedBfsPolicy charged(csr, sources);
+  core::DispatchRun(csr, config, charged);
+  CHECK(charged.bottom_up_steps() == 0);
+  core::BatchedBfsPolicy uncharged(csr, sources);
+  core::RunUncharged(csr, uncharged);
+
+  CHECK(uncharged.union_edges() == charged.union_edges());
+  for (int lane = 0; lane < static_cast<int>(sources.size()); ++lane) {
+    CHECK(uncharged.levels(lane) == charged.levels(lane));
+    CHECK(uncharged.lane_edges(lane) == charged.lane_edges(lane));
+  }
+  return uncharged.bottom_up_steps();
+}
+
+// Distinct sources (up to the pool of 8) and the same list with every
+// source asked for twice in a row; returns the bottom-up steps taken.
+int CheckUnchargedBfsAtEveryK(const graph::Csr& csr) {
+  int bottom_up_steps = 0;
+  for (const int lanes : {1, 2, 7, 64}) {
+    const std::vector<graph::VertexId> distinct = CycledSources(csr, lanes);
+    std::vector<graph::VertexId> paired;
+    for (int lane = 0; lane < lanes; ++lane) {
+      paired.push_back(distinct[lane / 2]);
+    }
+    bottom_up_steps += CheckUnchargedBfsMatchesCharged(csr, distinct);
+    bottom_up_steps += CheckUnchargedBfsMatchesCharged(csr, paired);
+  }
+  return bottom_up_steps;
+}
+
+void TestUnchargedBfsMatchesCharged() {
+  // Undirected analogs (stored one way, so in-lists differ from
+  // out-lists) and directed ones. Each takes bottom-up steps, so both
+  // directions are compared.
+  for (const std::string& symbol : graph::AllDatasetSymbols()) {
+    const graph::Csr& csr = graph::LoadOrGenerateDataset(symbol, 16384);
+    CHECK(CheckUnchargedBfsAtEveryK(csr) > 0);
+  }
+  CheckUnchargedBfsAtEveryK(graph::GenerateUniformRandom(1 << 10, 8, 7));
+
+  // Vertex 0 -> {1, 1, 2}, 1 -> {1, 3}, 2 -> {0, 4}, 3 -> {3, 4},
+  // 4 -> {}, 5 -> {0}, 6 isolated: duplicate arcs (0 -> 1), self-loops
+  // (1, 3), and vertices no source below reaches (5, 6).
+  const graph::Csr odd({0, 3, 5, 7, 9, 9, 10, 10},
+                       {1, 1, 2, 1, 3, 0, 4, 3, 4, 0}, true, "odd");
+  for (const std::vector<graph::VertexId>& sources :
+       std::vector<std::vector<graph::VertexId>>{
+           {0}, {4}, {0, 1}, {3, 3, 0}, {0, 1, 2, 3, 4, 0, 1, 2}}) {
+    CheckUnchargedBfsMatchesCharged(odd, sources);
+  }
+
+  // A star, arcs both ways between centre 0 and leaves 1..kLeaves. From
+  // the centre the first frontier {0} has kLeaves out-edges, and the
+  // edges left to check are the leaves' kLeaves in-arcs (the centre's own
+  // in-arcs left when its lane saw it): kLeaves > kLeaves / alpha, so
+  // depth 0 steps bottom-up.
+  constexpr graph::VertexId kLeaves = 100;
+  std::vector<graph::EdgeIndex> offsets{0, kLeaves};
+  std::vector<graph::VertexId> neighbors;
+  for (graph::VertexId leaf = 1; leaf <= kLeaves; ++leaf) {
+    neighbors.push_back(leaf);
+  }
+  for (graph::VertexId leaf = 1; leaf <= kLeaves; ++leaf) {
+    neighbors.push_back(0);
+    offsets.push_back(neighbors.size());
+  }
+  const graph::Csr star(std::move(offsets), std::move(neighbors), false,
+                        "star");
+  CHECK(CheckUnchargedBfsMatchesCharged(star, {0}) > 0);
+  CHECK(CheckUnchargedBfsMatchesCharged(star, {0, 0, 5}) > 0);
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -831,6 +916,7 @@ int main() {
   emogi::TestConcurrentFirstCcUse();
   emogi::TestMixedShardRouting();
   emogi::TestUnchargedServingMatchesCharged();
+  emogi::TestUnchargedBfsMatchesCharged();
   std::printf("test_query_batcher: OK\n");
   return 0;
 }
