@@ -1,6 +1,7 @@
 #include "core/batched.h"
 
 #include <cassert>
+#include <type_traits>
 
 namespace emogi::core {
 
@@ -31,15 +32,6 @@ void BatchedBfsPolicy::InitFrontier(std::vector<graph::VertexId>* frontier) {
     levels_[lane][s] = 0;
   }
   depth_ = 0;
-}
-
-std::uint64_t BatchedBfsPolicy::CountScan(graph::VertexId v) {
-  const std::uint64_t degree = csr_.Degree(v);
-  union_edges_ += degree;
-  for (LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
-    lane_edges_[LowestLane(m)] += degree;
-  }
-  return degree;
 }
 
 void BatchedBfsPolicy::PushFrom(graph::VertexId v,
@@ -88,9 +80,30 @@ void BatchedBfsPolicy::PullAll(const graph::Csr& reverse, LaneMask active,
   }
 }
 
+void BatchedBfsPolicy::CountLaneEdgesFromSeen(LaneMask all_lanes) {
+  std::uint64_t seen_by_all = 0;
+  for (graph::VertexId v = 0; v < csr_.num_vertices(); ++v) {
+    const LaneMask seen = seen_[v];
+    if (seen == 0) continue;
+    const std::uint64_t degree = csr_.Degree(v);
+    if (seen == all_lanes) {
+      seen_by_all += degree;
+      continue;
+    }
+    for (LaneMask m = seen; m != 0; m &= m - 1) {
+      lane_edges_[LowestLane(m)] += degree;
+    }
+  }
+  for (int lane = 0; lane < lanes_; ++lane) lane_edges_[lane] += seen_by_all;
+}
+
 void BatchedBfsPolicy::Expand(graph::VertexId v,
                               std::vector<graph::VertexId>* next) {
-  CountScan(v);
+  const std::uint64_t degree = csr_.Degree(v);
+  union_edges_ += degree;
+  for (LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
+    lane_edges_[LowestLane(m)] += degree;
+  }
   PushFrom(v, next);
 }
 
@@ -140,14 +153,14 @@ void RunUncharged(const graph::Csr& csr, BatchedBfsPolicy& policy) {
   bool bottom_up = false;
   while (!frontier.empty()) {
     // Whichever direction found it, this is the frontier a top-down run
-    // scans, so lane_edges and union_edges count its degrees as the
-    // charged run does.
+    // scans, so union_edges counts its degrees as the charged run does.
     std::uint64_t frontier_edges = 0;
     LaneMask active = 0;
     for (const graph::VertexId v : frontier) {
-      frontier_edges += policy.CountScan(v);
+      frontier_edges += csr.Degree(v);
       active |= policy.frontier_mask_[v];
     }
+    policy.union_edges_ += frontier_edges;
     if (bottom_up) {
       bottom_up = frontier.size() * kTopDownBeta >= csr.num_vertices();
     } else {
@@ -163,6 +176,7 @@ void RunUncharged(const graph::Csr& csr, BatchedBfsPolicy& policy) {
     retire_seen(next);
     policy.NextFrontier(&frontier, &next);
   }
+  policy.CountLaneEdgesFromSeen(all_lanes);
 }
 
 // --- Batched SSSP -----------------------------------------------------------
@@ -193,40 +207,42 @@ void BatchedSsspPolicy::InitFrontier(std::vector<graph::VertexId>* frontier) {
   }
 }
 
-void BatchedSsspPolicy::Expand(graph::VertexId v,
-                               std::vector<graph::VertexId>* next) {
-  const std::uint64_t degree = csr_.Degree(v);
-  union_edges_ += degree;
+namespace {
+
+// Relaxes one adjacency list ([neighbor, end) with its weights) for the
+// `count` lanes set in `scanning`, each from its base distance in
+// `base_row`. Edges run in order, and a vertex is pushed onto `next` at
+// its first improving edge, so the next frontier's order does not depend
+// on Width. Width > 0 fixes count == Width at compile time: the lane
+// loops unroll and the compacted lanes stay in registers. Width == 0 is
+// the loop for any count.
+template <int Width>
+void RelaxList(LaneMask scanning, int count, std::uint64_t degree,
+               const std::uint64_t* base_row, const graph::VertexId* neighbor,
+               const graph::VertexId* const end, const std::uint8_t* weight,
+               std::size_t row_width, std::uint64_t* const dist,
+               LaneMask* const next_mask, std::uint64_t* const lane_edges,
+               std::vector<graph::VertexId>* next) {
+  const int width = Width > 0 ? Width : count;
   // Compact the scanning lanes and the distances they relax from once
   // per list: the edge loop below then reads no mask and no base row.
-  int lane_of[kMaxBatchLanes];
-  LaneMask bit_of[kMaxBatchLanes];
-  std::uint64_t base_of[kMaxBatchLanes];
-  int count = 0;
-  const std::uint64_t* base_row = base_.data() + Slot(v, 0);
-  for (LaneMask m = frontier_mask_[v]; m != 0; m &= m - 1) {
-    const int lane = LowestLane(m);
-    lane_edges_[lane] += degree;
-    lane_of[count] = lane;
-    bit_of[count] = m & -m;
-    base_of[count] = base_row[lane];
-    ++count;
+  int lane_of[Width > 0 ? Width : kMaxBatchLanes];
+  LaneMask bit_of[Width > 0 ? Width : kMaxBatchLanes];
+  std::uint64_t base_of[Width > 0 ? Width : kMaxBatchLanes];
+  for (int j = 0; j < width; ++j) {
+    const int lane = LowestLane(scanning);
+    lane_edges[lane] += degree;
+    lane_of[j] = lane;
+    bit_of[j] = scanning & -scanning;
+    base_of[j] = base_row[lane];
+    scanning &= scanning - 1;
   }
-  const graph::EdgeIndex begin = csr_.NeighborBegin(v);
-  const graph::VertexId* neighbor = csr_.NeighborData(begin);
-  const graph::VertexId* const end = neighbor + degree;
-  const std::uint8_t* weight = weights_ + begin;
-  // Locals, not members: next->push_back could alias them, which would
-  // force a reload on every edge.
-  const std::size_t row_width = lanes_;
-  std::uint64_t* const dist = dist_.data();
-  LaneMask* const next_mask = next_mask_.data();
   for (; neighbor != end; ++neighbor, ++weight) {
     const graph::VertexId w = *neighbor;
     const std::uint64_t edge_weight = *weight;
     std::uint64_t* const dist_row = dist + w * row_width;
     LaneMask improved = 0;
-    for (int j = 0; j < count; ++j) {
+    for (int j = 0; j < width; ++j) {
       const std::uint64_t candidate = base_of[j] + edge_weight;
       if (candidate < dist_row[lane_of[j]]) {
         dist_row[lane_of[j]] = candidate;
@@ -236,6 +252,38 @@ void BatchedSsspPolicy::Expand(graph::VertexId v,
     if (improved == 0) continue;
     if (next_mask[w] == 0) next->push_back(w);
     next_mask[w] |= improved;
+  }
+}
+
+}  // namespace
+
+void BatchedSsspPolicy::Expand(graph::VertexId v,
+                               std::vector<graph::VertexId>* next) {
+  const std::uint64_t degree = csr_.Degree(v);
+  union_edges_ += degree;
+  const LaneMask scanning = frontier_mask_[v];
+  const int count = __builtin_popcountll(scanning);
+  const graph::EdgeIndex begin = csr_.NeighborBegin(v);
+  const graph::VertexId* const neighbor = csr_.NeighborData(begin);
+  // Pointers and the row width go in by value, not as members:
+  // next->push_back could alias a member, which would force a reload on
+  // every edge.
+  const auto relax = [&](auto width) {
+    RelaxList<decltype(width)::value>(
+        scanning, count, degree, base_.data() + Slot(v, 0), neighbor,
+        neighbor + degree, weights_ + begin, lanes_, dist_.data(),
+        next_mask_.data(), lane_edges_.data(), next);
+  };
+  switch (count) {
+    case 1: return relax(std::integral_constant<int, 1>{});
+    case 2: return relax(std::integral_constant<int, 2>{});
+    case 3: return relax(std::integral_constant<int, 3>{});
+    case 4: return relax(std::integral_constant<int, 4>{});
+    case 5: return relax(std::integral_constant<int, 5>{});
+    case 6: return relax(std::integral_constant<int, 6>{});
+    case 7: return relax(std::integral_constant<int, 7>{});
+    case 8: return relax(std::integral_constant<int, 8>{});
+    default: return relax(std::integral_constant<int, 0>{});
   }
 }
 

@@ -17,9 +17,15 @@
 // contiguous K-wide row per vertex ([vertex][lane]), so relaxing an
 // edge for every scanning lane touches one row of the neighbor, and it
 // compacts a frontier vertex's scanning lanes (and the distances they
-// relax from) once per list scan, not once per edge. Its
-// `distances(lane)` therefore returns a copy gathered from the rows. It
-// reads each edge's weight from the graph's table
+// relax from) once per list scan, not once per edge. The relax loop is
+// chosen once per list by that lane count: a kernel with the count fixed
+// at compile time for 1 to 8 lanes (its lane loop unrolled, the
+// compacted lanes held in registers), and a loop over any count for
+// wider lists. Every kernel relaxes the list in edge order and pushes a
+// vertex at its first improving edge, so the next frontier's order --
+// which the charged cost sums depend on -- does not depend on which
+// kernel ran. Its `distances(lane)` returns a copy gathered from the
+// rows. It reads each edge's weight from the graph's table
 // (graph::Csr::EdgeWeights()), fetched once at construction, as the
 // single-source SsspPolicy does.
 //
@@ -45,7 +51,11 @@
 // at each depth is the same set whichever direction found it, so every
 // lane's levels, lane_edges and union_edges equal DispatchRun's: the
 // edge counts are still the union frontier's degree sums, the edges a
-// top-down run scans, not the in-edges a bottom-up step reads.
+// top-down run scans, not the in-edges a bottom-up step reads. A lane
+// scans each vertex it reaches exactly once, so rather than counting
+// lane by lane at every depth, the run gives each lane, after the last
+// depth, the degree sum of the vertices its bit is set on in the final
+// seen masks (vertices every lane saw are summed once for all lanes).
 //
 // Lane-exactness contracts (enforced by tests/test_query_batcher.cc):
 //
@@ -132,9 +142,9 @@ class BatchedBfsPolicy {
  private:
   friend void RunUncharged(const graph::Csr& csr, BatchedBfsPolicy& policy);
 
-  // Adds v's degree to union_edges_ and to each lane scanning v, and
-  // returns the degree.
-  std::uint64_t CountScan(graph::VertexId v);
+  // Adds to each lane's lane_edges_ the degrees of the vertices it has
+  // seen (see the header comment); `all_lanes` has every lane's bit set.
+  void CountLaneEdgesFromSeen(LaneMask all_lanes);
   // Top-down: discovers v's out-neighbors for the lanes scanning v.
   void PushFrom(graph::VertexId v, std::vector<graph::VertexId>* next);
   // Bottom-up: every vertex some `active` lane has not seen looks for a

@@ -12,7 +12,8 @@
 //      K x 1-lane exactly -- see core/batched.h for why live-relaxation
 //      visit counts can differ). The vertex-major policy is also exact
 //      against a lane-major oracle of the same algorithm: distances,
-//      lane and union edges, and the run's TraversalStats bit for bit.
+//      lane and union edges, and the run's TraversalStats bit for bit,
+//      also when every list scans with K lanes for each K in 1..9 and 64.
 //  (c) QueryService::SubmitBatch: results in input order, wave packing
 //      respects K, and concurrent calls on one shared service -- the
 //      net::Listener pattern -- each return results, per-query visit
@@ -264,6 +265,14 @@ void TestBatchedSsspMatchesLaneMajorOracle() {
         }
         CheckSsspMatchesOracle(*csr, config, distinct);
         CheckSsspMatchesOracle(*csr, config, paired);
+      }
+      // K copies of one source: every list scans with exactly K lanes,
+      // so each fixed-width relax kernel (K <= 8) and the wide loop
+      // (K = 9, 64) runs.
+      const graph::VertexId source = CycledSources(*csr, 1)[0];
+      for (const int lanes : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+        CheckSsspMatchesOracle(
+            *csr, config, std::vector<graph::VertexId>(lanes, source));
       }
     }
   }
