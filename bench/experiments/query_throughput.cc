@@ -39,6 +39,12 @@
 // exactness contract). `--selfcheck` exits nonzero on any violation, and
 // also unless batching pays off somewhere: amortization_k32 >= 2 on at
 // least one dataset x mode.
+//
+// The degree-sum check cannot see a wrong count for a vertex only some
+// lanes of a wave reached: in this workload's BFS waves (counted at
+// --scale 4096 and 8192, --sources 2) every reached vertex is reached
+// by all of its wave's lanes. test_query_batcher's
+// TestUnchargedBfsMatchesCharged is the test that checks partial reach.
 
 #include <algorithm>
 #include <chrono>

@@ -14,26 +14,29 @@ namespace {
 
 constexpr std::uint64_t kMaxThreads = 1024;
 
-// Parses a positive integer knob no greater than `max`. Returns false
-// (and warns on stderr, leaving the caller's current value in place) on
-// anything that is not a clean in-range positive number -- silent
-// zero-clamping of garbage like EMOGI_SOURCES=abc used to hide typos.
-// `name` is the knob as the user spelled it ("EMOGI_SCALE" or
-// "--scale"), so the warning points at the right surface.
-bool ParsePositive(const char* name, const char* text, std::uint64_t max,
-                   std::uint64_t* value) {
+// Warns that `spelling`'s value was rejected and returns false, so a
+// rule can `return Reject(...)`; the caller's current value stays.
+bool Reject(const std::string& spelling, const std::string& value,
+            const std::string& expected) {
+  std::fprintf(stderr, "warning: ignoring %s='%s' (%s)\n", spelling.c_str(),
+               value.c_str(), expected.c_str());
+  return false;
+}
+
+// Parses a positive integer no greater than `max`. Rejects anything
+// that is not a clean in-range positive number -- silent zero-clamping
+// of garbage like EMOGI_SOURCES=abc used to hide typos.
+bool ParsePositive(const std::string& spelling, const std::string& text,
+                   std::uint64_t max, std::uint64_t* value) {
   char* end = nullptr;
   errno = 0;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
   // The leading-digit requirement rejects the forms strtoull would
   // quietly accept: whitespace, '+', and (wrapping!) '-' prefixes.
   if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
       errno == ERANGE || parsed == 0 || parsed > max) {
-    std::fprintf(
-        stderr,
-        "warning: ignoring %s='%s' (expected a positive integer <= %llu)\n",
-        name, text, static_cast<unsigned long long>(max));
-    return false;
+    return Reject(spelling, text,
+                  "expected a positive integer <= " + std::to_string(max));
   }
   *value = parsed;
   return true;
@@ -47,13 +50,11 @@ bool IsDirectory(const std::string& path) {
 
 // Parses "sym=A,B,..." into known dataset symbols. Unknown symbols are
 // individually warned and dropped; an empty result rejects the flag.
-bool ParseFilter(const std::string& value, std::vector<std::string>* symbols) {
+bool ParseFilter(const std::string& spelling, const std::string& value,
+                 std::vector<std::string>* symbols) {
   const std::string prefix = "sym=";
   if (value.compare(0, prefix.size(), prefix) != 0) {
-    std::fprintf(stderr,
-                 "warning: ignoring --filter '%s' (expected sym=SYM[,SYM...])\n",
-                 value.c_str());
-    return false;
+    return Reject(spelling, value, "expected sym=SYM[,SYM...]");
   }
   std::vector<std::string> parsed;
   std::string rest = value.substr(prefix.size());
@@ -68,21 +69,26 @@ bool ParseFilter(const std::string& value, std::vector<std::string>* symbols) {
     }
     if (!known) {
       std::fprintf(stderr,
-                   "warning: --filter names unknown dataset symbol '%s'; "
+                   "warning: %s names unknown dataset symbol '%s'; "
                    "dropping it\n",
-                   symbol.c_str());
+                   spelling.c_str(), symbol.c_str());
       continue;
     }
     parsed.push_back(symbol);
   }
-  if (parsed.empty()) {
-    std::fprintf(stderr,
-                 "warning: ignoring --filter '%s' (no known symbols left)\n",
-                 value.c_str());
-    return false;
-  }
+  if (parsed.empty()) return Reject(spelling, value, "no known symbols left");
   *symbols = std::move(parsed);
   return true;
+}
+
+// "memory-budget" -> "EMOGI_MEMORY_BUDGET", the README table's mapping.
+std::string EnvName(const std::string& flag) {
+  std::string name = "EMOGI_";
+  for (const char c : flag) {
+    name += c == '-' ? '_' : static_cast<char>(std::toupper(
+                                 static_cast<unsigned char>(c)));
+  }
+  return name;
 }
 
 }  // namespace
@@ -96,95 +102,72 @@ const std::vector<std::string>& Options::FlagNames() {
 
 Options Options::FromEnv() {
   Options options;
-  std::uint64_t value = 0;
-  if (const char* scale = std::getenv("EMOGI_SCALE")) {
-    if (ParsePositive("EMOGI_SCALE", scale, ~0ull, &value)) {
-      options.scale = value;
-    }
-  }
-  if (const char* sources = std::getenv("EMOGI_SOURCES")) {
-    if (ParsePositive("EMOGI_SOURCES", sources, 0x7fffffffull, &value)) {
-      options.sources = static_cast<int>(value);
-    }
-  }
   options.threads = runtime::ResolveThreadCount(0);
-  if (const char* threads = std::getenv("EMOGI_THREADS")) {
-    if (ParsePositive("EMOGI_THREADS", threads, kMaxThreads, &value)) {
-      options.threads = static_cast<int>(value);
+  for (const std::string& flag : FlagNames()) {
+    if (flag == "filter") continue;  // A flag with no variable.
+    const std::string name = EnvName(flag);
+    if (const char* value = std::getenv(name.c_str())) {
+      options.Apply(flag, name, value);
     }
   }
-  options.data = graph::DataSource::FromEnv();
   return options;
 }
 
 bool Options::Set(const std::string& name, const std::string& value) {
+  return Apply(name, "--" + name, value);
+}
+
+bool Options::Apply(const std::string& name, const std::string& spelling,
+                    const std::string& value) {
   std::uint64_t parsed = 0;
   if (name == "scale") {
-    if (!ParsePositive("--scale", value.c_str(), ~0ull, &parsed)) return false;
+    if (!ParsePositive(spelling, value, ~0ull, &parsed)) return false;
     scale = parsed;
     return true;
   }
   if (name == "sources") {
-    if (!ParsePositive("--sources", value.c_str(), 0x7fffffffull, &parsed)) {
-      return false;
-    }
+    if (!ParsePositive(spelling, value, 0x7fffffffull, &parsed)) return false;
     sources = static_cast<int>(parsed);
     return true;
   }
   if (name == "threads") {
-    if (!ParsePositive("--threads", value.c_str(), kMaxThreads, &parsed)) {
-      return false;
-    }
+    if (!ParsePositive(spelling, value, kMaxThreads, &parsed)) return false;
     threads = static_cast<int>(parsed);
     return true;
   }
   if (name == "data-dir") {
     if (!IsDirectory(value)) {
-      std::fprintf(stderr,
-                   "warning: ignoring --data-dir '%s' (not an existing "
-                   "directory); keeping the current data source\n",
-                   value.c_str());
-      return false;
+      return Reject(spelling, value, "not an existing directory");
     }
     data.data_dir = value;
     return true;
   }
   if (name == "cache-dir") {
     if (value.empty()) {
-      std::fprintf(stderr,
-                   "warning: ignoring empty --cache-dir (cache goes next to "
-                   "the data)\n");
-      return false;
+      return Reject(spelling, value,
+                    "expected a directory path; the cache goes next to the "
+                    "data");
     }
     data.cache_dir = value;
     return true;
   }
   if (name == "memory-budget") {
-    std::uint64_t bytes = 0;
-    if (!graph::ParseByteCount(value, &bytes)) {
-      std::fprintf(stderr,
-                   "warning: ignoring --memory-budget '%s' (expected a "
-                   "positive byte count, optionally suffixed K/M/G)\n",
-                   value.c_str());
-      return false;
+    if (!graph::ParseByteCount(value, &data.memory_budget)) {
+      return Reject(spelling, value,
+                    "expected a positive byte count, optionally suffixed "
+                    "K/M/G");
     }
-    data.memory_budget = bytes;
     return true;
   }
   if (name == "paged-csr") {
-    if (value == "0" || value == "1") {
-      data.paged = (value == "1");
-      return true;
+    if (value != "0" && value != "1") {
+      return Reject(spelling, value, "expected 0 or 1");
     }
-    std::fprintf(stderr,
-                 "warning: ignoring --paged-csr '%s' (expected 0 or 1)\n",
-                 value.c_str());
-    return false;
+    data.paged = (value == "1");
+    return true;
   }
-  if (name == "filter") {
-    return ParseFilter(value, &symbols);
-  }
-  std::fprintf(stderr, "warning: unknown option --%s\n", name.c_str());
+  if (name == "filter") return ParseFilter(spelling, value, &symbols);
+  std::fprintf(stderr, "warning: unknown option %s\n", spelling.c_str());
   return false;
 }
 

@@ -1,7 +1,10 @@
-// Runtime knobs shared by every experiment, resolved through one path:
-// built-in default < environment < command-line flag. Both overrides are
-// strictly validated -- a bad value is rejected with a warning and the
-// previously resolved value kept, never silently clamped.
+// Runtime knobs shared by every experiment and serving tool, resolved
+// through one path: built-in default < environment < command-line flag.
+// FromEnv is the only place in the project that reads an EMOGI_*
+// variable (the graph and ingest libraries take every setting as an
+// argument), and each variable goes through the same rule as its flag:
+// a bad value is rejected with a warning naming the spelling it came
+// from, and the previously resolved value kept, never silently clamped.
 
 #ifndef EMOGI_BENCH_OPTIONS_H_
 #define EMOGI_BENCH_OPTIONS_H_
@@ -14,33 +17,34 @@
 
 namespace emogi::bench {
 
-// Environment knobs (each shadowed by the driver flag in parentheses):
-//   EMOGI_SCALE (--scale)      dataset/GPU-memory scale divisor (default
+// Each knob is one long flag, and (except --filter) one environment
+// variable named EMOGI_ plus the flag in upper snake case:
+//   --scale / EMOGI_SCALE      dataset/GPU-memory scale divisor (default
 //                              512, the calibrated value; larger =
 //                              faster, smaller graphs).
-//   EMOGI_SOURCES (--sources)  BFS/SSSP sources averaged per measurement
+//   --sources / EMOGI_SOURCES  BFS/SSSP sources averaged per measurement
 //                              (default 4; the paper uses 64).
-//   EMOGI_THREADS (--threads)  sweep workers fanning the per-source runs
+//   --threads / EMOGI_THREADS  sweep workers fanning the per-source runs
 //                              (default: hardware_concurrency, clamped
-//                              >= 1). Results are deterministic at any
-//                              thread count.
-//   EMOGI_DATA_DIR (--data-dir)  directory of real `<symbol>.el` edge
+//                              >= 1; at most 1024). Results are
+//                              deterministic at any thread count.
+//   --data-dir / EMOGI_DATA_DIR  directory of real `<symbol>.el` edge
 //                              lists; when a dataset's file exists there
 //                              it is ingested instead of generated (must
-//                              be an existing directory, else the value
-//                              is rejected with a warning).
-//   EMOGI_CACHE_DIR (--cache-dir)  where binary CSR caches for ingested
-//                              graphs live (default:
-//                              "<EMOGI_DATA_DIR>/emogi-cache").
-//   EMOGI_MEMORY_BUDGET (--memory-budget)  byte cap on resident edge
+//                              be an existing directory).
+//   --cache-dir / EMOGI_CACHE_DIR  where binary CSR caches for ingested
+//                              graphs live (non-empty; default
+//                              "<data-dir>/emogi-cache").
+//   --memory-budget / EMOGI_MEMORY_BUDGET  byte cap on resident edge
 //                              data while ingesting real graphs; routes
 //                              the build through the external-memory
 //                              chunked builder. Positive integer with
 //                              optional K/M/G suffix (powers of 1024).
 //                              Default: unbounded in-memory build.
-//   EMOGI_PAGED_CSR (--paged-csr)  0/1; 1 serves real graphs as mmap-ed
+//   --paged-csr / EMOGI_PAGED_CSR  0/1; 1 serves real graphs as mmap-ed
 //                              views of the CSR cache file (out-of-core
 //                              traversal) instead of resident copies.
+//   --filter sym=A,B           flag only: restricts the dataset symbols.
 struct Options {
   std::uint64_t scale = 512;
   int sources = 4;
@@ -49,20 +53,27 @@ struct Options {
   // --filter sym=A,B restriction; empty means every dataset symbol.
   std::vector<std::string> symbols;
 
-  // Defaults overridden by the environment knobs above.
+  // The defaults (threads: this machine's hardware concurrency) with
+  // every set EMOGI_* variable applied on top.
   static Options FromEnv();
 
   // Applies one flag override on top of the current values. `name` is
   // a long option from FlagNames() without the leading dashes. Returns
   // false (with a warning on stderr, current value kept) on an unknown
-  // name or a value that would be rejected were it an environment knob.
+  // name or a rejected value.
   bool Set(const std::string& name, const std::string& value);
 
   // The long-option names Set accepts ("scale", "sources", "threads",
   // "data-dir", "cache-dir", "memory-budget", "paged-csr", "filter") --
-  // the one list the driver's flag classifier shares, so a new knob is
-  // added next to its Set branch only.
+  // the one list the driver's flag classifier and FromEnv share, so a
+  // new knob is added here and as a rule in Apply, nowhere else.
   static const std::vector<std::string>& FlagNames();
+
+ private:
+  // The one rule per knob behind both Set and FromEnv. `spelling` is
+  // how the user wrote it ("--scale" or "EMOGI_SCALE"), for warnings.
+  bool Apply(const std::string& name, const std::string& spelling,
+             const std::string& value);
 };
 
 }  // namespace emogi::bench

@@ -7,12 +7,15 @@
 #ifndef EMOGI_BENCH_REPORT_H_
 #define EMOGI_BENCH_REPORT_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "bench/options.h"
 
 namespace emogi::bench {
+
+struct JsonValue;
 
 // Bumped whenever a field is renamed/removed or its meaning changes;
 // adding fields is backward compatible and does not bump it.
@@ -42,6 +45,36 @@ struct MetricRow {
   double value = 0;
   std::string unit;
 };
+
+// A report's metric rows as read back from JSON, for the tools that
+// consume written reports (bench_compare, bench_history).
+struct MetricKey {
+  std::string symbol;
+  std::string mode;
+  std::string metric;
+
+  bool operator<(const MetricKey& other) const;
+};
+
+struct MetricValue {
+  double value = 0;
+  std::string unit;  // "" when the row has none.
+};
+
+struct ReportMetrics {
+  std::string id;      // experiment.id, never empty.
+  std::string build;   // run.build; "" when absent.
+  double scale = 0;    // run.scale; 0 when absent.
+  double sources = 0;  // run.sources; 0 when absent.
+  std::map<MetricKey, MetricValue> metrics;
+};
+
+// Reads the experiment/run/metrics shape that a full report document
+// and a bench_history ledger line share (the schema name is the
+// caller's to check). Returns false when the experiment id, the run or
+// the metrics array is missing, or a row lacks symbol, mode, metric or
+// value.
+bool ReadReportMetrics(const JsonValue& root, ReportMetrics* out);
 
 // One table-sink drawing instruction, recorded in call order.
 struct RenderOp {

@@ -1,7 +1,5 @@
 #include "graph/datasets.h"
 
-#include <sys/stat.h>
-
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -61,19 +59,6 @@ const DatasetRecipe& GetRecipe(const std::string& symbol) {
   std::abort();
 }
 
-// Emits `message` on stderr once per distinct message per process.
-// FromEnv() runs on every env-overload dataset load, so a bench sweeping
-// configs would otherwise repeat the same rejection warning dozens of
-// times (the per-symbol fallback warnings below dedup the same way via
-// `fallbacks`).
-void WarnOnce(const std::string& message) {
-  static std::mutex* mutex = new std::mutex();
-  static std::set<std::string>* warned = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  if (!warned->insert(message).second) return;
-  std::fputs(message.c_str(), stderr);
-}
-
 }  // namespace
 
 const std::vector<std::string>& AllDatasetSymbols() {
@@ -127,48 +112,6 @@ bool ParseByteCount(const std::string& text, std::uint64_t* bytes) {
   return true;
 }
 
-DataSource DataSource::FromEnv() {
-  DataSource source;
-  if (const char* dir = std::getenv("EMOGI_DATA_DIR")) {
-    struct stat st {};
-    if (dir[0] == '\0' || ::stat(dir, &st) != 0 || !S_ISDIR(st.st_mode)) {
-      WarnOnce(std::string("warning: ignoring EMOGI_DATA_DIR='") + dir +
-               "' (not an existing directory); using generated analogs\n");
-    } else {
-      source.data_dir = dir;
-    }
-  }
-  if (const char* dir = std::getenv("EMOGI_CACHE_DIR")) {
-    if (dir[0] == '\0') {
-      WarnOnce(
-          "warning: ignoring empty EMOGI_CACHE_DIR (cache goes next to "
-          "the data)\n");
-    } else {
-      source.cache_dir = dir;
-    }
-  }
-  if (const char* budget = std::getenv("EMOGI_MEMORY_BUDGET")) {
-    std::uint64_t bytes = 0;
-    if (!ParseByteCount(budget, &bytes)) {
-      WarnOnce(std::string("warning: ignoring EMOGI_MEMORY_BUDGET='") +
-               budget +
-               "' (expected a positive byte count, optionally suffixed "
-               "K/M/G); building in memory\n");
-    } else {
-      source.memory_budget = bytes;
-    }
-  }
-  if (const char* paged = std::getenv("EMOGI_PAGED_CSR")) {
-    if (paged == std::string("1")) {
-      source.paged = true;
-    } else if (paged != std::string("0")) {
-      WarnOnce(std::string("warning: ignoring EMOGI_PAGED_CSR='") + paged +
-               "' (expected 0 or 1); serving resident graphs\n");
-    }
-  }
-  return source;
-}
-
 const Csr& LoadOrGenerateDataset(const std::string& symbol,
                                  std::uint64_t scale,
                                  const DataSource& source) {
@@ -178,7 +121,7 @@ const Csr& LoadOrGenerateDataset(const std::string& symbol,
   // returned references stay valid across later inserts). Building under
   // the lock also keeps concurrent callers from building the same graph
   // twice. Real graphs are keyed by data_dir and ignore scale (the file
-  // is one fixed size), so mixing env-on and env-off callers in one
+  // is one fixed size), so mixing real-data and analog callers in one
   // process never aliases.
   using CacheKey = std::tuple<std::string, std::string, std::uint64_t>;
   static std::mutex* mutex = new std::mutex();
@@ -256,11 +199,6 @@ const Csr& LoadOrGenerateDataset(const std::string& symbol,
   spec.seed = recipe.seed;
   spec.name = symbol;
   return cache->emplace(key, Generate(spec)).first->second;
-}
-
-const Csr& LoadOrGenerateDataset(const std::string& symbol,
-                                 std::uint64_t scale) {
-  return LoadOrGenerateDataset(symbol, scale, DataSource::FromEnv());
 }
 
 std::vector<VertexId> PickSources(const Csr& csr, int count) {

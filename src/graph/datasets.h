@@ -33,9 +33,11 @@ const std::vector<std::string>& UndirectedDatasetSymbols();
 // Dies with a clear message on an unknown symbol.
 const DatasetInfo& GetDatasetInfo(const std::string& symbol);
 
-// Where real graphs come from. When `data_dir` is empty every load is a
-// generated analog; when it names a directory holding `<symbol>.el` (or
-// `.txt`) edge lists, those are ingested instead, with a binary CSR
+// Where real graphs come from: a plain value, filled by the caller
+// (bench::Options resolves it from flags and EMOGI_* variables; this
+// library reads no environment). When `data_dir` is empty every load is
+// a generated analog; when it names a directory holding `<symbol>.el`
+// (or `.txt`) edge lists, those are ingested instead, with a binary CSR
 // cache under `cache_dir` ("<data_dir>/emogi-cache" when empty) so the
 // text parse happens once per edge list.
 struct DataSource {
@@ -48,35 +50,24 @@ struct DataSource {
   // CSR cache file instead of a resident copy.
   std::uint64_t memory_budget = 0;
   bool paged = false;
-
-  // Strict env parsing, matching the bench::Options knobs: EMOGI_DATA_DIR
-  // must name an existing directory, EMOGI_CACHE_DIR must be non-empty,
-  // EMOGI_MEMORY_BUDGET must be a positive byte count (optional K/M/G
-  // suffix, powers of 1024), and EMOGI_PAGED_CSR must be 0 or 1 -- else
-  // the value is rejected with a warning and the default kept.
-  static DataSource FromEnv();
 };
 
-// Strict byte-count parse for EMOGI_MEMORY_BUDGET / --memory-budget:
+// Strict byte-count parse for --memory-budget / EMOGI_MEMORY_BUDGET:
 // a positive integer with an optional K/M/G suffix (powers of 1024).
-// Returns false on anything else, including overflow.
+// Returns false, leaving *bytes untouched, on anything else, including
+// overflow.
 bool ParseByteCount(const std::string& text, std::uint64_t* bytes);
 
 // Returns the dataset for `symbol`: the real graph from `source` when
 // its edge list exists there (scale is ignored for real graphs -- the
 // file is whatever size it is), otherwise the scaled generated analog.
+// The default (empty) source always gives the analog.
 // Served from an in-process cache; the reference stays valid for the
 // process lifetime -- the cache never evicts; copy it to mutate (e.g. a
 // different edge_elem_bytes).
 const Csr& LoadOrGenerateDataset(const std::string& symbol,
                                  std::uint64_t scale,
-                                 const DataSource& source);
-
-// Convenience overload: source taken from the environment
-// (DataSource::FromEnv), so every existing caller gains real-data mode
-// via EMOGI_DATA_DIR with no code change.
-const Csr& LoadOrGenerateDataset(const std::string& symbol,
-                                 std::uint64_t scale);
+                                 const DataSource& source = DataSource());
 
 // Deterministic traversal sources: `count` distinct vertices with nonzero
 // out-degree, identical across runs for a given graph.

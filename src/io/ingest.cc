@@ -175,14 +175,4 @@ IngestStatus LoadRealDataset(const std::string& symbol, bool directed,
   return IngestStatus::kLoaded;
 }
 
-IngestStatus LoadRealDataset(const std::string& symbol, bool directed,
-                             const std::string& data_dir,
-                             const std::string& cache_dir, graph::Csr* out,
-                             IngestReport* report, std::string* error) {
-  IngestOptions options;
-  options.cache_dir = cache_dir;
-  return LoadRealDataset(symbol, directed, data_dir, options, out, report,
-                         error);
-}
-
 }  // namespace emogi::io

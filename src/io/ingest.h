@@ -26,11 +26,15 @@ enum class IngestStatus {
               // explains (malformed file, unreadable, ...).
 };
 
-// How to build and serve the graph, beyond the classic parse-in-memory
-// default. Both knobs make the cache *file* the product: when either is
-// set, a cache-dir or cache-write failure is fatal (kFailed) instead of
-// a warning, because there is no fully-in-memory result to fall back
-// to (paged) or the whole point was bounding memory (budget).
+// How to build and serve one real graph. A plain value the caller fills
+// (graph::LoadOrGenerateDataset copies it from its graph::DataSource);
+// nothing in io reads the environment. Default-constructed, it parses
+// in memory, caches under "<data_dir>/emogi-cache" and serves a
+// resident copy. The budget and `paged` make the cache *file* the
+// product: when either is set, a cache-dir or cache-write failure is
+// fatal (kFailed) instead of a warning, because there is no
+// fully-in-memory result to fall back to (paged) or the whole point was
+// bounding memory (budget).
 struct IngestOptions {
   std::string cache_dir;            // Empty: "<data_dir>/emogi-cache".
   std::uint64_t memory_budget = 0;  // Nonzero: build the cache via the
@@ -64,12 +68,6 @@ bool EnsureDirectory(const std::string& path, std::string* error);
 IngestStatus LoadRealDataset(const std::string& symbol, bool directed,
                              const std::string& data_dir,
                              const IngestOptions& options, graph::Csr* out,
-                             IngestReport* report, std::string* error);
-
-// Back-compat convenience: default options with just the cache dir set.
-IngestStatus LoadRealDataset(const std::string& symbol, bool directed,
-                             const std::string& data_dir,
-                             const std::string& cache_dir, graph::Csr* out,
                              IngestReport* report, std::string* error);
 
 }  // namespace emogi::io

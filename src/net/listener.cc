@@ -124,10 +124,9 @@ ListenerStats Listener::Stats() const {
 void Listener::AcceptNew() {
   for (;;) {
     const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      return;  // Transient accept errors: try again next poll round.
-    }
+    // Nothing pending (EAGAIN) or a transient error: try again next
+    // poll round.
+    if (fd < 0) return;
     if (static_cast<int>(conns_.size()) >= options_.max_conns) {
       // Refuse loudly: one typed error frame, then close. The fd is
       // still blocking here, and the frame is tiny, so a plain send
@@ -195,7 +194,7 @@ void Listener::SyncQueueDepthsLocked() {
   }
 }
 
-bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
+void Listener::HandleFrame(Connection* conn, const Frame& frame) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.frames_received;
@@ -205,12 +204,12 @@ bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
       if (conn->saw_hello) {
         SendError(conn, ErrorCode::kDuplicateHello,
                   "handshake already completed");
-        return true;
+        return;
       }
       HelloMsg hello;
       if (!DecodeHello(frame.payload, &hello)) {
         SendError(conn, ErrorCode::kBadMessage, "undecodable HELLO payload");
-        return true;
+        return;
       }
       conn->saw_hello = true;
       conn->tenant = dispatcher_.AddTenant(
@@ -231,18 +230,18 @@ bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
       ack.max_lanes = static_cast<std::uint32_t>(service_->max_lanes());
       const std::vector<std::uint8_t> out = EncodeHelloAck(ack);
       conn->wbuf.insert(conn->wbuf.end(), out.begin(), out.end());
-      return true;
+      return;
     }
     case FrameType::kRequest: {
       if (!conn->saw_hello) {
         SendError(conn, ErrorCode::kHelloRequired,
                   "first frame must be HELLO");
-        return true;
+        return;
       }
       RequestMsg req;
       if (!DecodeRequest(frame.payload, &req)) {
         SendError(conn, ErrorCode::kBadMessage, "undecodable REQUEST payload");
-        return true;
+        return;
       }
       runtime::PendingRequest pending;
       pending.id = req.id;
@@ -268,24 +267,23 @@ bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
         t.queue_depth = dispatcher_.tenant_depth(conn->tenant);
       }
       if (status != runtime::Status::kOk) Reject(pending, status);
-      return true;
+      return;
     }
     case FrameType::kGoodbye:
       conn->stop_reading = true;
       conn->closing = true;
-      return true;
+      return;
     case FrameType::kHelloAck:
     case FrameType::kResponse:
     case FrameType::kError:
       SendError(conn, ErrorCode::kUnexpectedType,
                 std::string("server never accepts ") + ToString(frame.type));
-      return true;
+      return;
   }
   SendError(conn, ErrorCode::kUnexpectedType, "unknown frame type");
-  return true;
 }
 
-bool Listener::ProcessFrames(Connection* conn) {
+void Listener::ProcessFrames(Connection* conn) {
   std::size_t offset = 0;
   while (offset < conn->rbuf.size() && !conn->stop_reading) {
     Frame frame;
@@ -307,7 +305,6 @@ bool Listener::ProcessFrames(Connection* conn) {
   }
   conn->rbuf.erase(conn->rbuf.begin(),
                    conn->rbuf.begin() + static_cast<std::ptrdiff_t>(offset));
-  return true;
 }
 
 bool Listener::HandleReadable(Connection* conn) {
@@ -330,7 +327,8 @@ bool Listener::HandleReadable(Connection* conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     return false;  // Hard read error: drop the connection.
   }
-  return ProcessFrames(conn);
+  ProcessFrames(conn);
+  return true;
 }
 
 bool Listener::HandleWritable(Connection* conn) {

@@ -186,8 +186,10 @@ class Listener {
   // False => connection must be closed now.
   bool HandleReadable(Connection* conn);
   bool HandleWritable(Connection* conn);
-  bool ProcessFrames(Connection* conn);
-  bool HandleFrame(Connection* conn, const Frame& frame);
+  // Decodes and handles every whole frame in `conn->rbuf`. A protocol
+  // error queues a typed error frame and marks the connection closing.
+  void ProcessFrames(Connection* conn);
+  void HandleFrame(Connection* conn, const Frame& frame);
   void SendError(Connection* conn, ErrorCode code, const std::string& what);
   void SendResponse(Connection* conn, const ResponseMsg& msg);
   // Answers `p` with a wave-less status (serve_seq 0) if its connection

@@ -236,7 +236,7 @@ void TestRejectsBadFiles() {
 
 void TestIngestAndRegeneration() {
   const std::string data_dir = Path("data");
-  const std::string cache_dir = Path("cache");
+  const io::IngestOptions options{Path("cache")};
   std::string error;
   CHECK(io::EnsureDirectory(data_dir, &error));
   std::FILE* file = std::fopen((data_dir + "/GU.el").c_str(), "w");
@@ -246,14 +246,14 @@ void TestIngestAndRegeneration() {
 
   graph::Csr parsed;
   io::IngestReport report;
-  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &parsed,
+  CHECK(io::LoadRealDataset("GU", false, data_dir, options, &parsed,
                             &report, &error) == io::IngestStatus::kLoaded);
   CHECK(!report.from_cache);
   CHECK(parsed.num_vertices() == 4);
   CHECK(parsed.num_edges() == 8);  // 4 undirected edges, mirrored.
 
   graph::Csr again;
-  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("GU", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kLoaded);
   CHECK(report.from_cache);
   CHECK(again.offsets() == parsed.offsets());
@@ -264,11 +264,11 @@ void TestIngestAndRegeneration() {
   std::vector<unsigned char> bytes = ReadAll(report.cache_path);
   bytes.back() ^= 0xFF;
   WriteAll(report.cache_path, bytes);
-  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("GU", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kLoaded);
   CHECK(!report.from_cache);
   CHECK(again.neighbors() == parsed.neighbors());
-  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("GU", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kLoaded);
   CHECK(report.from_cache);
 
@@ -276,12 +276,12 @@ void TestIngestAndRegeneration() {
   bytes = ReadAll(report.cache_path);
   bytes[4] = 2;
   WriteAll(report.cache_path, bytes);
-  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("GU", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kLoaded);
   CHECK(!report.from_cache);
   CHECK(again.neighbors() == parsed.neighbors());
   CHECK(ReadAll(report.cache_path)[4] == io::kCsrCacheVersion);
-  CHECK(io::LoadRealDataset("GU", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("GU", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kLoaded);
   CHECK(report.from_cache);
 
@@ -290,12 +290,12 @@ void TestIngestAndRegeneration() {
   CHECK(file != nullptr);
   std::fprintf(file, "0 1\nnot an edge\n");
   CHECK(std::fclose(file) == 0);
-  CHECK(io::LoadRealDataset("GK", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("GK", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kFailed);
   CHECK(error.find("line 2") != std::string::npos);
 
   // Absent symbol: a plain miss, so callers fall back to the analog.
-  CHECK(io::LoadRealDataset("ML", false, data_dir, cache_dir, &again, &report,
+  CHECK(io::LoadRealDataset("ML", false, data_dir, options, &again, &report,
                             &error) == io::IngestStatus::kNotFound);
 }
 
@@ -321,16 +321,6 @@ void TestLoadOrGenerateSeam() {
   const graph::Csr& analog =
       graph::LoadOrGenerateDataset("GU", 16384, graph::DataSource());
   CHECK(analog.num_vertices() > 1000);
-
-  // The env-driven overload picks up EMOGI_DATA_DIR/EMOGI_CACHE_DIR.
-  CHECK(::setenv("EMOGI_DATA_DIR", data_dir.c_str(), 1) == 0);
-  CHECK(::setenv("EMOGI_CACHE_DIR", Path("cache").c_str(), 1) == 0);
-  const graph::Csr& via_env = graph::LoadOrGenerateDataset("GU", 16384);
-  CHECK(via_env.num_vertices() == 4);
-  CHECK(::unsetenv("EMOGI_DATA_DIR") == 0);
-  CHECK(::unsetenv("EMOGI_CACHE_DIR") == 0);
-  const graph::Csr& env_off = graph::LoadOrGenerateDataset("GU", 16384);
-  CHECK(env_off.num_vertices() > 1000);
 }
 
 }  // namespace

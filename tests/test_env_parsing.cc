@@ -1,5 +1,7 @@
-// bench::Options::FromEnv must take clean positive integers and reject
-// garbage loudly (keeping the defaults) instead of silently clamping.
+// bench::Options::FromEnv, the one reader of EMOGI_* variables, must
+// take clean values and reject garbage loudly (keeping the defaults)
+// instead of silently clamping, through the same rule as each variable's
+// flag; and the graph library must read no environment at all.
 // (Flag-over-env precedence of the same Options is covered by
 // test_bench_report.)
 
@@ -8,9 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <tuple>
 
 #include "bench/options.h"
+#include "graph/datasets.h"
 #include "runtime/thread_pool.h"
 #include "test_util.h"
 
@@ -155,47 +160,145 @@ void TestBudgetFlagOverrides() {
   CHECK(!options.data.paged);
 }
 
-// The EMOGI_DATA_DIR rejection warning fires once per process per
-// distinct value: FromEnv() reparses on every env-overload dataset load,
-// and benches sweeping configs used to repeat the identical warning on
-// each one.
-void TestDataDirWarningOnce() {
-  SetEnv("EMOGI_DATA_DIR", "/nonexistent/emogi-warn-once");
+// Runs `fn` with stderr redirected to a temporary file and returns what
+// it wrote there.
+template <typename Fn>
+std::string CaptureStderr(Fn fn) {
   char capture_path[] = "/tmp/emogi_env_warn_XXXXXX";
   const int capture_fd = ::mkstemp(capture_path);
   CHECK(capture_fd >= 0);
   const int saved_stderr = ::dup(2);
   std::fflush(stderr);
   ::dup2(capture_fd, 2);
-  bench::Options::FromEnv();
-  bench::Options::FromEnv();
-  bench::Options::FromEnv();
+  fn();
   std::fflush(stderr);
   ::dup2(saved_stderr, 2);
   ::close(saved_stderr);
   ::close(capture_fd);
-  SetEnv("EMOGI_DATA_DIR", nullptr);
 
   std::string captured;
-  {
-    std::FILE* file = std::fopen(capture_path, "rb");
-    CHECK(file != nullptr);
-    char buffer[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-      captured.append(buffer, n);
-    }
-    std::fclose(file);
+  std::FILE* file = std::fopen(capture_path, "rb");
+  CHECK(file != nullptr);
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    captured.append(buffer, n);
   }
+  std::fclose(file);
   ::unlink(capture_path);
+  return captured;
+}
 
-  const std::string needle = "ignoring EMOGI_DATA_DIR";
+std::size_t CountOccurrences(const std::string& text,
+                             const std::string& needle) {
   std::size_t count = 0;
-  for (std::size_t pos = captured.find(needle); pos != std::string::npos;
-       pos = captured.find(needle, pos + needle.size())) {
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
     ++count;
   }
-  CHECK(count == 1);
+  return count;
+}
+
+// Every field a knob can set, so two Options compare as one value.
+std::tuple<std::uint64_t, int, int, std::string, std::string, std::uint64_t,
+           bool>
+Fields(const bench::Options& options) {
+  return {options.scale,          options.sources,
+          options.threads,        options.data.data_dir,
+          options.data.cache_dir, options.data.memory_budget,
+          options.data.paged};
+}
+
+// One rule per knob: for every FlagNames() entry but the flag-only
+// --filter, EMOGI_<FLAG> and --<flag> accept the same good value into
+// the same field, and reject the same bad value with a warning naming
+// the spelling it came from, keeping the default.
+void TestEnvAndFlagShareOneRule() {
+  struct Knob {
+    const char* flag;
+    const char* env;
+    const char* good;
+    const char* bad;
+  };
+  const Knob knobs[] = {
+      {"scale", "EMOGI_SCALE", "4096", "abc"},
+      {"sources", "EMOGI_SOURCES", "16", "0"},
+      {"threads", "EMOGI_THREADS", "1000", "1025"},
+      {"data-dir", "EMOGI_DATA_DIR", "/tmp", "/nonexistent/emogi-data"},
+      {"cache-dir", "EMOGI_CACHE_DIR", "/tmp/emogi-cache", ""},
+      {"memory-budget", "EMOGI_MEMORY_BUDGET", "64K", "4KB"},
+      {"paged-csr", "EMOGI_PAGED_CSR", "1", "yes"},
+  };
+  for (const Knob& knob : knobs) SetEnv(knob.env, nullptr);
+  const bench::Options defaults = bench::Options::FromEnv();
+
+  std::size_t covered = 0;
+  for (const std::string& flag : bench::Options::FlagNames()) {
+    if (flag == "filter") continue;
+    const Knob* knob = nullptr;
+    for (const Knob& k : knobs) {
+      if (flag == k.flag) knob = &k;
+    }
+    CHECK(knob != nullptr);  // A new knob needs a row here.
+    ++covered;
+
+    SetEnv(knob->env, knob->good);
+    const bench::Options from_env = bench::Options::FromEnv();
+    SetEnv(knob->env, nullptr);
+    bench::Options from_flag = bench::Options::FromEnv();
+    CHECK(from_flag.Set(flag, knob->good));
+    CHECK(Fields(from_env) == Fields(from_flag));
+    CHECK(Fields(from_env) != Fields(defaults));
+
+    bench::Options env_rejected;
+    SetEnv(knob->env, knob->bad);
+    const std::string env_warning =
+        CaptureStderr([&] { env_rejected = bench::Options::FromEnv(); });
+    SetEnv(knob->env, nullptr);
+    bench::Options flag_rejected = bench::Options::FromEnv();
+    bool accepted = true;
+    const std::string flag_warning =
+        CaptureStderr([&] { accepted = flag_rejected.Set(flag, knob->bad); });
+    CHECK(!accepted);
+    CHECK(Fields(env_rejected) == Fields(defaults));
+    CHECK(Fields(flag_rejected) == Fields(defaults));
+    CHECK(CountOccurrences(env_warning,
+                           std::string("ignoring ") + knob->env + "=") == 1);
+    CHECK(CountOccurrences(flag_warning, "ignoring --" + flag + "=") == 1);
+  }
+  CHECK(covered == sizeof(knobs) / sizeof(knobs[0]));
+}
+
+// The graph library reads no environment: a two-argument load is the
+// generated analog even when EMOGI_DATA_DIR names a directory holding
+// that dataset's edge list.
+void TestGraphLibraryIgnoresEnvironment() {
+  char dir_template[] = "/tmp/emogi_env_data_XXXXXX";
+  const char* dir = ::mkdtemp(dir_template);
+  CHECK(dir != nullptr);
+  const std::string edge_list = std::string(dir) + "/GU.el";
+  std::FILE* file = std::fopen(edge_list.c_str(), "w");
+  CHECK(file != nullptr);
+  std::fprintf(file, "0 1\n1 2\n2 3\n3 0\n");
+  CHECK(std::fclose(file) == 0);
+
+  SetEnv("EMOGI_DATA_DIR", dir);
+  const graph::Csr& csr = graph::LoadOrGenerateDataset("GU", 16384);
+  CHECK(bench::Options::FromEnv().data.data_dir == dir);
+  SetEnv("EMOGI_DATA_DIR", nullptr);
+  CHECK(csr.num_vertices() > 1000);
+  std::filesystem::remove_all(dir);
+}
+
+// FromEnv reads each variable once per call, so one call with a bad
+// EMOGI_DATA_DIR gives exactly one warning, and it names the variable.
+void TestOneWarningPerFromEnv() {
+  SetEnv("EMOGI_DATA_DIR", "/nonexistent/emogi-warn-once");
+  const std::string captured =
+      CaptureStderr([] { bench::Options::FromEnv(); });
+  SetEnv("EMOGI_DATA_DIR", nullptr);
+  CHECK(CountOccurrences(captured, "warning:") == 1);
+  CHECK(CountOccurrences(captured, "ignoring EMOGI_DATA_DIR") == 1);
 }
 
 }  // namespace
@@ -209,7 +312,9 @@ int main() {
   emogi::TestMemoryBudgetParsing();
   emogi::TestPagedCsrParsing();
   emogi::TestBudgetFlagOverrides();
-  emogi::TestDataDirWarningOnce();
+  emogi::TestEnvAndFlagShareOneRule();
+  emogi::TestGraphLibraryIgnoresEnvironment();
+  emogi::TestOneWarningPerFromEnv();
   std::printf("test_env_parsing: OK\n");
   return 0;
 }

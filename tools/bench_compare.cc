@@ -31,27 +31,13 @@ namespace emogi {
 namespace {
 
 using bench::JsonValue;
+using bench::MetricKey;
+using bench::MetricValue;
 
-struct MetricKey {
-  std::string symbol;
-  std::string mode;
-  std::string metric;
-
-  bool operator<(const MetricKey& other) const {
-    if (symbol != other.symbol) return symbol < other.symbol;
-    if (mode != other.mode) return mode < other.mode;
-    return metric < other.metric;
-  }
-  std::string ToString() const {
-    return "symbol='" + symbol + "' mode='" + mode + "' metric='" + metric +
-           "'";
-  }
-};
-
-struct MetricEntry {
-  double value = 0;
-  std::string unit;
-};
+std::string Describe(const MetricKey& key) {
+  return "symbol='" + key.symbol + "' mode='" + key.mode + "' metric='" +
+         key.metric + "'";
+}
 
 int Usage() {
   std::fprintf(
@@ -66,53 +52,33 @@ int Usage() {
 }
 
 // Loads `path`, requiring a single-report document of the known schema.
-bool LoadReport(const std::string& path, JsonValue* root) {
+bool LoadReport(const std::string& path, bench::ReportMetrics* report) {
   std::string text;
   if (!bench::ReadFile(path, &text)) {
     std::fprintf(stderr, "bench_compare: cannot read %s\n", path.c_str());
     return false;
   }
+  JsonValue root;
   std::string error;
-  if (!bench::ParseJson(text, root, &error)) {
+  if (!bench::ParseJson(text, &root, &error)) {
     std::fprintf(stderr, "bench_compare: %s: %s\n", path.c_str(),
                  error.c_str());
     return false;
   }
-  const JsonValue* schema = root->Find("schema");
-  if (schema == nullptr || schema->string != "emogi-bench-report") {
+  const JsonValue* schema = root.Find("schema");
+  if (schema == nullptr || schema->string != bench::kReportSchemaName) {
     std::fprintf(stderr,
                  "bench_compare: %s is not a single emogi-bench-report "
                  "document (run one experiment with --format=json)\n",
                  path.c_str());
     return false;
   }
-  if (root->Find("experiment") == nullptr || root->Find("run") == nullptr ||
-      root->Find("metrics") == nullptr) {
-    std::fprintf(stderr, "bench_compare: %s: missing report fields\n",
+  if (!bench::ReadReportMetrics(root, report)) {
+    std::fprintf(stderr,
+                 "bench_compare: %s: missing report fields or malformed "
+                 "metric row\n",
                  path.c_str());
     return false;
-  }
-  return true;
-}
-
-bool CollectMetrics(const JsonValue& root, const std::string& path,
-                    std::map<MetricKey, MetricEntry>* metrics) {
-  for (const JsonValue& row : root.At("metrics").array) {
-    const JsonValue* symbol = row.Find("symbol");
-    const JsonValue* mode = row.Find("mode");
-    const JsonValue* metric = row.Find("metric");
-    const JsonValue* value = row.Find("value");
-    if (symbol == nullptr || mode == nullptr || metric == nullptr ||
-        value == nullptr) {
-      std::fprintf(stderr, "bench_compare: %s: malformed metric row\n",
-                   path.c_str());
-      return false;
-    }
-    MetricKey key{symbol->string, mode->string, metric->string};
-    MetricEntry entry;
-    entry.value = value->number;
-    if (const JsonValue* unit = row.Find("unit")) entry.unit = unit->string;
-    (*metrics)[key] = entry;
   }
   return true;
 }
@@ -157,7 +123,7 @@ int Main(int argc, char** argv) {
   }
   if (paths.size() != 2) return Usage();
 
-  JsonValue baseline, candidate;
+  bench::ReportMetrics baseline, candidate;
   if (!LoadReport(paths[0], &baseline) || !LoadReport(paths[1], &candidate)) {
     return 2;
   }
@@ -165,42 +131,33 @@ int Main(int argc, char** argv) {
   // Different experiments, scales, or source counts produce legitimately
   // different numbers -- comparing them is a harness bug, not a
   // regression.
-  const std::string baseline_id = baseline.At("experiment").At("id").string;
-  const std::string candidate_id = candidate.At("experiment").At("id").string;
-  if (baseline_id != candidate_id) {
+  if (baseline.id != candidate.id) {
     std::fprintf(stderr,
                  "bench_compare: experiment ids differ ('%s' vs '%s')\n",
-                 baseline_id.c_str(), candidate_id.c_str());
+                 baseline.id.c_str(), candidate.id.c_str());
     return 2;
   }
-  for (const char* knob : {"scale", "sources"}) {
-    const double b = baseline.At("run").At(knob).number;
-    const double c = candidate.At("run").At(knob).number;
-    if (b != c) {
-      std::fprintf(stderr,
-                   "bench_compare: runs are incomparable: %s %g vs %g\n",
-                   knob, b, c);
-      return 2;
-    }
-  }
-
-  std::map<MetricKey, MetricEntry> baseline_metrics, candidate_metrics;
-  if (!CollectMetrics(baseline, paths[0], &baseline_metrics) ||
-      !CollectMetrics(candidate, paths[1], &candidate_metrics)) {
+  if (baseline.scale != candidate.scale ||
+      baseline.sources != candidate.sources) {
+    std::fprintf(stderr,
+                 "bench_compare: runs are incomparable: scale %g vs %g, "
+                 "sources %g vs %g\n",
+                 baseline.scale, candidate.scale, baseline.sources,
+                 candidate.sources);
     return 2;
   }
 
   int mismatches = 0;
   int compared = 0;
-  for (const auto& [key, expected] : baseline_metrics) {
-    const auto found = candidate_metrics.find(key);
-    if (found == candidate_metrics.end()) {
+  for (const auto& [key, expected] : baseline.metrics) {
+    const auto found = candidate.metrics.find(key);
+    if (found == candidate.metrics.end()) {
       std::fprintf(stderr, "MISSING  %s (baseline %.17g)\n",
-                   key.ToString().c_str(), expected.value);
+                   Describe(key).c_str(), expected.value);
       ++mismatches;
       continue;
     }
-    const MetricEntry& actual = found->second;
+    const MetricValue& actual = found->second;
     ++compared;
     double tolerance_pct =
         bench::IsWallClockMetric(key.metric, expected.unit) ? 20.0 : 0.0;
@@ -220,26 +177,26 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "MISMATCH %s: baseline %.17g, candidate %.17g "
                    "(tolerance %g%%)\n",
-                   key.ToString().c_str(), expected.value, actual.value,
+                   Describe(key).c_str(), expected.value, actual.value,
                    tolerance_pct);
       ++mismatches;
     }
   }
-  for (const auto& [key, entry] : candidate_metrics) {
-    if (baseline_metrics.count(key) == 0) {
+  for (const auto& [key, entry] : candidate.metrics) {
+    if (baseline.metrics.count(key) == 0) {
       std::fprintf(stderr, "warning: candidate-only metric %s (%.17g)\n",
-                   key.ToString().c_str(), entry.value);
+                   Describe(key).c_str(), entry.value);
     }
   }
 
   if (mismatches > 0) {
     std::fprintf(stderr, "bench_compare: %d of %d metrics FAILED (%s)\n",
-                 mismatches, static_cast<int>(baseline_metrics.size()),
-                 baseline_id.c_str());
+                 mismatches, static_cast<int>(baseline.metrics.size()),
+                 baseline.id.c_str());
     return 1;
   }
   std::printf("bench_compare: %d metrics match (%s)\n", compared,
-              baseline_id.c_str());
+              baseline.id.c_str());
   return 0;
 }
 

@@ -20,7 +20,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -47,107 +46,47 @@ int Usage() {
   return 2;
 }
 
-struct MetricKey {
-  std::string symbol;
-  std::string mode;
-  std::string metric;
-
-  bool operator<(const MetricKey& other) const {
-    if (symbol != other.symbol) return symbol < other.symbol;
-    if (mode != other.mode) return mode < other.mode;
-    return metric < other.metric;
-  }
-  std::string ToString() const {
-    std::string out;
-    if (!symbol.empty()) out += symbol + "/";
-    if (!mode.empty()) out += mode + "/";
-    return out + metric;
-  }
-};
-
-struct HistoryEntry {
-  std::string build;
-  double scale = 0;
-  double sources = 0;
-  std::map<MetricKey, double> metrics;
-  std::map<MetricKey, std::string> units;
-};
-
-// Parses one report document (full file or one history line) into an
-// entry. Both carry the same experiment/run/metrics shape.
-bool ParseEntry(const JsonValue& root, HistoryEntry* entry,
-                std::string* id) {
-  const JsonValue* experiment = root.Find("experiment");
-  const JsonValue* run = root.Find("run");
-  const JsonValue* metrics = root.Find("metrics");
-  if (experiment == nullptr || run == nullptr || metrics == nullptr) {
-    return false;
-  }
-  const JsonValue* entry_id = experiment->Find("id");
-  if (entry_id == nullptr || entry_id->string.empty()) return false;
-  *id = entry_id->string;
-  if (const JsonValue* build = run->Find("build")) {
-    entry->build = build->string;
-  }
-  if (const JsonValue* scale = run->Find("scale")) {
-    entry->scale = scale->number;
-  }
-  if (const JsonValue* sources = run->Find("sources")) {
-    entry->sources = sources->number;
-  }
-  for (const JsonValue& row : metrics->array) {
-    const JsonValue* symbol = row.Find("symbol");
-    const JsonValue* mode = row.Find("mode");
-    const JsonValue* metric = row.Find("metric");
-    const JsonValue* value = row.Find("value");
-    if (symbol == nullptr || mode == nullptr || metric == nullptr ||
-        value == nullptr) {
-      return false;
-    }
-    const MetricKey key{symbol->string, mode->string, metric->string};
-    entry->metrics[key] = value->number;
-    if (const JsonValue* unit = row.Find("unit")) {
-      entry->units[key] = unit->string;
-    }
-  }
-  return true;
+// "GU/merged/speedup", the trajectory's name for a metric row.
+std::string Describe(const bench::MetricKey& key) {
+  std::string out;
+  if (!key.symbol.empty()) out += key.symbol + "/";
+  if (!key.mode.empty()) out += key.mode + "/";
+  return out + key.metric;
 }
 
 // The one compact line the ledger stores per run: the same
 // experiment/run/metrics shape as the full report, minus the render
-// stream, so ParseEntry reads both.
-std::string HistoryLine(const std::string& id, const HistoryEntry& entry) {
+// stream, so bench::ReadReportMetrics reads both.
+std::string HistoryLine(const bench::ReportMetrics& entry) {
   std::string out = "{\"schema\":\"emogi-bench-history\",\"schema_version\":1";
-  out += ",\"experiment\":{\"id\":" + JsonString(id) + "}";
+  out += ",\"experiment\":{\"id\":" + JsonString(entry.id) + "}";
   out += ",\"run\":{\"build\":" + JsonString(entry.build) +
          ",\"scale\":" + JsonNumber(entry.scale) +
          ",\"sources\":" + JsonNumber(entry.sources) + "}";
   out += ",\"metrics\":[";
   bool first = true;
-  for (const auto& [key, value] : entry.metrics) {
+  for (const auto& [key, metric] : entry.metrics) {
     if (!first) out += ",";
     first = false;
-    const auto unit = entry.units.find(key);
     out += "{\"symbol\":" + JsonString(key.symbol) +
            ",\"mode\":" + JsonString(key.mode) +
            ",\"metric\":" + JsonString(key.metric) +
-           ",\"value\":" + JsonNumber(value) + ",\"unit\":" +
-           JsonString(unit == entry.units.end() ? "" : unit->second) + "}";
+           ",\"value\":" + JsonNumber(metric.value) +
+           ",\"unit\":" + JsonString(metric.unit) + "}";
   }
   out += "]}";
   return out;
 }
 
-void PrintTrajectory(const std::string& id,
-                     const std::vector<HistoryEntry>& entries) {
-  std::printf("bench_history: %s.jsonl holds %d entr%s\n", id.c_str(),
+void PrintTrajectory(const std::vector<bench::ReportMetrics>& entries) {
+  const bench::ReportMetrics& newest = entries.back();
+  std::printf("bench_history: %s.jsonl holds %d entr%s\n", newest.id.c_str(),
               static_cast<int>(entries.size()),
               entries.size() == 1 ? "y" : "ies");
-  const HistoryEntry& newest = entries.back();
 
   // Only entries at the newest (scale, sources) are comparable.
-  std::vector<const HistoryEntry*> comparable;
-  for (const HistoryEntry& entry : entries) {
+  std::vector<const bench::ReportMetrics*> comparable;
+  for (const bench::ReportMetrics& entry : entries) {
     if (entry.scale == newest.scale && entry.sources == newest.sources) {
       comparable.push_back(&entry);
     }
@@ -160,30 +99,28 @@ void PrintTrajectory(const std::string& id,
 
   int stable = 0, wall_clock = 0, appeared = 0;
   std::vector<std::string> drifting;
-  for (const auto& [key, value] : newest.metrics) {
-    const auto unit = newest.units.find(key);
-    if (bench::IsWallClockMetric(
-            key.metric, unit == newest.units.end() ? "" : unit->second)) {
+  for (const auto& [key, metric] : newest.metrics) {
+    if (bench::IsWallClockMetric(key.metric, metric.unit)) {
       ++wall_clock;
       continue;
     }
     bool seen_before = false;
     bool changed = false;
     std::string chain;
-    for (const HistoryEntry* entry : comparable) {
+    for (const bench::ReportMetrics* entry : comparable) {
       const auto found = entry->metrics.find(key);
       if (found == entry->metrics.end()) continue;
       if (!chain.empty()) chain += " -> ";
-      chain += JsonNumber(found->second);
+      chain += JsonNumber(found->second.value);
       if (entry != &newest) {
         seen_before = true;
-        changed |= (found->second != value);
+        changed |= (found->second.value != metric.value);
       }
     }
     if (!seen_before) {
       ++appeared;
     } else if (changed) {
-      drifting.push_back("  " + key.ToString() + ": " + chain);
+      drifting.push_back("  " + Describe(key) + ": " + chain);
     } else {
       ++stable;
     }
@@ -249,16 +186,15 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || schema->string != "emogi-bench-report") {
+  if (schema == nullptr || schema->string != bench::kReportSchemaName) {
     std::fprintf(stderr,
                  "bench_history: %s is not a single emogi-bench-report "
                  "document (run one experiment with --format=json)\n",
                  report_path.c_str());
     return 2;
   }
-  HistoryEntry incoming;
-  std::string id;
-  if (!ParseEntry(root, &incoming, &id)) {
+  bench::ReportMetrics incoming;
+  if (!bench::ReadReportMetrics(root, &incoming)) {
     std::fprintf(stderr, "bench_history: %s: missing report fields\n",
                  report_path.c_str());
     return 2;
@@ -266,8 +202,8 @@ int Main(int argc, char** argv) {
 
   // Prior entries, skipping (with a warning) any corrupt line rather
   // than losing the whole ledger to one bad append.
-  const std::string ledger_path = history_dir + "/" + id + ".jsonl";
-  std::vector<HistoryEntry> entries;
+  const std::string ledger_path = history_dir + "/" + incoming.id + ".jsonl";
+  std::vector<bench::ReportMetrics> entries;
   std::string ledger_text;
   if (bench::ReadFile(ledger_path, &ledger_text)) {
     std::size_t pos = 0;
@@ -280,10 +216,10 @@ int Main(int argc, char** argv) {
       ++line_number;
       if (line.empty()) continue;
       JsonValue line_root;
-      HistoryEntry entry;
-      std::string line_id;
+      bench::ReportMetrics entry;
       if (!bench::ParseJson(line, &line_root, &error) ||
-          !ParseEntry(line_root, &entry, &line_id) || line_id != id) {
+          !bench::ReadReportMetrics(line_root, &entry) ||
+          entry.id != incoming.id) {
         std::fprintf(stderr,
                      "warning: %s:%d: skipping unreadable history entry\n",
                      ledger_path.c_str(), line_number);
@@ -305,7 +241,7 @@ int Main(int argc, char** argv) {
                    ledger_path.c_str());
       return 2;
     }
-    const std::string line = HistoryLine(id, incoming) + "\n";
+    const std::string line = HistoryLine(incoming) + "\n";
     const bool wrote =
         std::fwrite(line.data(), 1, line.size(), ledger) == line.size();
     if (std::fclose(ledger) != 0 || !wrote) {
@@ -315,7 +251,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  PrintTrajectory(id, entries);
+  PrintTrajectory(entries);
   return 0;
 }
 

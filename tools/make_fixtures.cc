@@ -52,10 +52,8 @@ constexpr std::uint64_t kFixtureScale = 262144;
 bool WriteFixture(const std::string& out_dir, const std::string& symbol,
                   std::uint64_t scale) {
   const graph::DatasetInfo& info = graph::GetDatasetInfo(symbol);
-  // Explicit empty DataSource: fixtures always come from the generator,
-  // even when EMOGI_DATA_DIR is set in the calling environment.
-  const graph::Csr& csr =
-      graph::LoadOrGenerateDataset(symbol, scale, graph::DataSource());
+  // The default DataSource: fixtures always come from the generator.
+  const graph::Csr& csr = graph::LoadOrGenerateDataset(symbol, scale);
 
   const std::string path = out_dir + "/" + symbol + ".el";
   std::FILE* file = std::fopen(path.c_str(), "w");
@@ -145,7 +143,7 @@ bool HasArc(const graph::Csr& csr, graph::VertexId u, graph::VertexId v) {
 
 bool CheckFixture(const std::string& out_dir, const std::string& symbol) {
   const graph::DatasetInfo& info = graph::GetDatasetInfo(symbol);
-  const std::string cache_dir = out_dir + "/emogi-cache";
+  const io::IngestOptions options{out_dir + "/emogi-cache"};
   auto fail = [&symbol](const std::string& what) {
     std::fprintf(stderr, "make_fixtures --check: %s: %s\n", symbol.c_str(),
                  what.c_str());
@@ -156,7 +154,7 @@ bool CheckFixture(const std::string& out_dir, const std::string& symbol) {
   io::IngestReport report;
   std::string error;
   io::IngestStatus status = io::LoadRealDataset(
-      symbol, info.directed, out_dir, cache_dir, &parsed, &report, &error);
+      symbol, info.directed, out_dir, options, &parsed, &report, &error);
   if (status != io::IngestStatus::kLoaded) {
     return fail("ingest failed: " + (error.empty() ? "not found" : error));
   }
@@ -178,7 +176,7 @@ bool CheckFixture(const std::string& out_dir, const std::string& symbol) {
   }
 
   graph::Csr reloaded;
-  status = io::LoadRealDataset(symbol, info.directed, out_dir, cache_dir,
+  status = io::LoadRealDataset(symbol, info.directed, out_dir, options,
                                &reloaded, &report, &error);
   if (status != io::IngestStatus::kLoaded || !report.from_cache) {
     return fail("second load was not served by the CSR cache");
@@ -264,7 +262,8 @@ bool CheckContainerVariants(const std::string& out_dir,
   graph::Csr text_csr;
   std::string error;
   if (io::LoadRealDataset(symbol, info.directed, out_dir,
-                          out_dir + "/emogi-cache", &text_csr, nullptr,
+                          io::IngestOptions{out_dir + "/emogi-cache"},
+                          &text_csr, nullptr,
                           &error) != io::IngestStatus::kLoaded) {
     return fail("text ingest failed: " + error);
   }
@@ -279,8 +278,9 @@ bool CheckContainerVariants(const std::string& out_dir,
   for (const std::string& dir : variant_dirs) {
     graph::Csr variant;
     io::IngestReport report;
-    if (io::LoadRealDataset(symbol, info.directed, dir, dir + "/emogi-cache",
-                            &variant, &report, &error) !=
+    if (io::LoadRealDataset(symbol, info.directed, dir,
+                            io::IngestOptions{dir + "/emogi-cache"}, &variant,
+                            &report, &error) !=
         io::IngestStatus::kLoaded) {
       ok = fail("variant ingest failed under " + dir + ": " + error);
       break;
