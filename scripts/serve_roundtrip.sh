@@ -9,9 +9,9 @@
 #
 # Before that, usage errors must exit exactly 2 without binding or
 # connecting: for the server, no --listen, a retired simulated-serving
-# flag, a flag nothing in it reads (--threads, --sources) or a
-# non-numeric count; for the client (no server is up yet), the same
-# unread flags, the retired --mode, and malformed numbers.
+# flag, a flag nothing in it reads (--threads, --sources), the retired
+# --mode or a non-numeric count; for the client (no server is up yet),
+# the same unread flags, the retired --mode, and malformed numbers.
 #
 # After the first round trip, a second one serves real graphs out of
 # core, with the environment bench/e2e starts its wire server with:
@@ -62,7 +62,7 @@ expect_usage_error() {
 }
 expect_usage_error "$SERVE" --filter sym=GK
 for flags in "--burst" "--closed-loop 4" "--queries 8" "--max-lanes abc" \
-             "--threads 8" "--sources 2"; do
+             "--threads 8" "--sources 2" "--mode UVM"; do
   # shellcheck disable=SC2086  # $flags is a flag and its value.
   expect_usage_error "$SERVE" --listen "$SOCK" --filter sym=GK $flags
 done

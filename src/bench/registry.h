@@ -1,9 +1,8 @@
 // The process-wide experiment registry. Each figure/table lives in one
 // translation unit that registers an `Experiment` descriptor via
 // EMOGI_REGISTER_EXPERIMENT at static-init time; the `emogi_bench`
-// driver and the thin per-figure wrapper binaries both resolve ids
-// through the one registry -- adding a scenario is one new registered
-// experiment, never a new hand-rolled main().
+// driver resolves ids through the one registry -- adding a scenario is
+// one new registered experiment, never a new hand-rolled main().
 
 #ifndef EMOGI_BENCH_REGISTRY_H_
 #define EMOGI_BENCH_REGISTRY_H_

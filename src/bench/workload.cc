@@ -126,34 +126,13 @@ double MeanTimeNs(const std::vector<core::TraversalStats>& runs) {
 std::vector<runtime::Request> GenerateQueryWorkload(
     const graph::Csr& csr, int count, std::uint64_t seed,
     double sssp_fraction) {
-  // splitmix64: tiny, seedable, and identical everywhere (no
-  // implementation-defined std:: distribution behavior in a workload
-  // that parity gates depend on).
-  std::uint64_t state = seed;
-  const auto next = [&state]() {
-    state += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  };
-
+  SplitMix rng{seed};
   std::vector<runtime::Request> queries;
   queries.reserve(static_cast<std::size_t>(count > 0 ? count : 0));
-  const graph::VertexId num_vertices = csr.num_vertices();
-  for (int q = 0; q < count && num_vertices > 0; ++q) {
-    // Linear-probe from a random start to the next vertex with outgoing
-    // edges -- a source with none would answer trivially and distort
-    // the amortization measurement.
-    graph::VertexId source =
-        static_cast<graph::VertexId>(next() % num_vertices);
-    for (graph::VertexId probe = 0;
-         probe < num_vertices && csr.Degree(source) == 0; ++probe) {
-      source = source + 1 == num_vertices ? 0 : source + 1;
-    }
+  for (int q = 0; q < count && csr.num_vertices() > 0; ++q) {
+    const graph::VertexId source = PickNonTrivialSource(rng, csr);
     const bool sssp =
-        static_cast<double>(next() % 1000000) <
-        sssp_fraction * 1000000.0;
+        static_cast<double>(rng.Next() % 1000000) < sssp_fraction * 1000000.0;
     queries.push_back(runtime::Request{
         sssp ? runtime::QueryKind::kSssp : runtime::QueryKind::kBfs, source});
   }

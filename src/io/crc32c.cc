@@ -27,6 +27,17 @@ constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
 // Built at compile time, so concurrent first callers share no lazy init.
 constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
 
+// a * b modulo the CRC polynomial, both in the CRC's reflected bit
+// order (bit 31 holds x^0).
+std::uint32_t MultiplyModPoly(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t term = 1u << 31; term != 0; term >>= 1) {
+    if ((a & term) != 0) product ^= b;
+    b = (b >> 1) ^ (kCrc32cPolynomial & (0u - (b & 1u)));  // b *= x.
+  }
+  return product;
+}
+
 #if defined(__x86_64__)
 // Eight bytes per crc32 instruction, then the tail a byte at a time.
 __attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
@@ -73,6 +84,16 @@ bool Crc32cHardware([[maybe_unused]] const void* data,
   }
 #endif
   return false;
+}
+
+std::uint32_t Crc32cCombine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t size_b) {
+  // shift = x^(8 * 2^j) mod P moves a CRC over 2^j zero bytes.
+  for (std::uint32_t shift = 1u << 23; size_b != 0; size_b >>= 1) {
+    if ((size_b & 1) != 0) crc_a = MultiplyModPoly(shift, crc_a);
+    shift = MultiplyModPoly(shift, shift);
+  }
+  return crc_a ^ crc_b;
 }
 
 std::uint32_t Crc32c(const void* data, std::size_t size, std::uint32_t crc) {

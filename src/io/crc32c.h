@@ -29,6 +29,13 @@ std::uint32_t Crc32cPortable(const void* data, std::size_t size,
                              std::uint32_t crc = 0);
 bool Crc32cHardware(const void* data, std::size_t size, std::uint32_t* crc);
 
+// The CRC of a followed by b, from crc_a = Crc32c(a), crc_b = Crc32c(b)
+// and b's length alone: crc_a is shifted over size_b zero bytes by
+// GF(2) polynomial arithmetic (zlib's crc32_combine), in O(log size_b)
+// steps. Lets a writer checksum sections out of file order.
+std::uint32_t Crc32cCombine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t size_b);
+
 }  // namespace emogi::io
 
 #endif  // EMOGI_IO_CRC32C_H_

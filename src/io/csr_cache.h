@@ -1,5 +1,6 @@
 // Versioned binary on-disk cache for graph::Csr, so a real edge list is
-// parsed once and loads in milliseconds thereafter.
+// parsed once and loads in milliseconds thereafter. Only this file's
+// CsrCacheWriter and OpenCsrCacheView know the layout.
 //
 // File layout (little-endian, the only byte order this repo targets):
 //
@@ -31,12 +32,17 @@
 #ifndef EMOGI_IO_CSR_CACHE_H_
 #define EMOGI_IO_CSR_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 
 #include "graph/csr.h"
 
 namespace emogi::io {
+
+class FileView;
 
 constexpr std::uint32_t kCsrCacheMagic = 0x43474D45u;  // "EMGC" on disk.
 constexpr std::uint32_t kCsrCacheVersion = 3;
@@ -56,12 +62,6 @@ struct CsrCacheHeader {
 };
 static_assert(sizeof(CsrCacheHeader) == 56, "cache header layout is ABI");
 
-// Bytes the name section occupies on disk (zero-padded so the offset
-// array that follows stays 8-byte aligned).
-constexpr std::uint64_t CsrCachePaddedNameLength(std::uint64_t name_length) {
-  return (name_length + 7) / 8 * 8;
-}
-
 enum class CacheLoadResult {
   kLoaded,   // `out` holds the cached graph.
   kMissing,  // No file at `path` -- a plain cache miss.
@@ -69,35 +69,65 @@ enum class CacheLoadResult {
              // different format version; `error` says which.
 };
 
-// The CRC-32C of the header itself (checksum field zeroed); chain the
-// name/pad, offset, and neighbor bytes onto it with io::Crc32c, in file
-// order, to reproduce `payload_checksum`. Exposed so the
-// external-memory builder (io/em_builder.cc) can stream-write files
-// byte-identical to SaveCsrCache's.
-std::uint32_t CsrCacheHeaderBasis(const CsrCacheHeader& header);
+// Streams one cache file: Open, Append every neighbor id in file order,
+// Finish. The neighbors go first, checksummed as they pass; Finish
+// writes the header, name and offsets in front and joins the two
+// checksums with io::Crc32cCombine, so nothing is read back. The file
+// is built as "<path>.tmp.<pid>" and renamed onto `path`, so readers
+// never see a half-written cache and concurrent writers race only at
+// the atomic rename; a writer destroyed unfinished removes it.
+class CsrCacheWriter {
+ public:
+  CsrCacheWriter() = default;
+  CsrCacheWriter(const CsrCacheWriter&) = delete;
+  CsrCacheWriter& operator=(const CsrCacheWriter&) = delete;
+  ~CsrCacheWriter();
 
-// Validates raw cache-file bytes: header sanity, exact size arithmetic,
-// payload checksum, and (when nonzero) the source signature. On success
-// fills *header; on failure returns false with a path-prefixed error.
-// Shared by the copying loader below and the mmap-paged loader.
-bool CheckCsrCacheBytes(const void* data, std::size_t size,
-                        const std::string& path,
-                        std::uint64_t expected_signature,
-                        CsrCacheHeader* header, std::string* error);
+  // Creates the temp file and seeks past the header, name and offsets.
+  bool Open(const std::string& path, const std::string& name,
+            std::uint64_t vertex_count, std::string* error);
 
-// Serializes `csr` to `path` (via a temp file + rename, so readers never
-// observe a half-written cache). Returns false and fills `error` on I/O
-// failure. The write is deterministic: the same CSR always produces
+  // Writes `count` neighbor ids and extends their checksum.
+  bool Append(const graph::VertexId* ids, std::size_t count,
+              std::string* error);
+
+  // `offsets` has vertex_count + 1 entries and ends at the ids appended.
+  bool Finish(graph::ConstSpan<graph::EdgeIndex> offsets, bool directed,
+              std::uint32_t edge_elem_bytes, std::uint64_t source_signature,
+              std::string* error);
+
+ private:
+  void Discard();
+  bool Fail(const std::string& what, std::string* error);
+
+  std::string path_;
+  std::string tmp_path_;
+  std::string name_;
+  std::FILE* file_ = nullptr;
+  std::uint64_t vertex_count_ = 0;
+  std::uint64_t edge_count_ = 0;
+  std::uint32_t neighbor_crc_ = 0;
+};
+
+// Writes `csr` to `path` through one CsrCacheWriter. Returns false and
+// fills `error` on I/O failure. The same CSR always produces
 // byte-identical files.
 bool SaveCsrCache(const graph::Csr& csr, const std::string& path,
                   std::uint64_t source_signature, std::string* error);
 
-// Loads `path`, mmap-ing it read-only when possible and falling back to
-// buffered reads. `expected_signature` != 0 additionally requires the
-// stored source signature to match. The loaded graph is revalidated
-// structurally (Csr::Validate) before being returned. The arrays are
-// copied out of the file view -- the returned graph is fully resident;
-// io/paged_csr.h is the out-of-core alternative.
+// The one decoder: opens `path` (io::OpenFileView: mmap-ed, else a heap
+// copy), validates it (header, sizes, checksum, a nonzero
+// `expected_signature`, Csr::Validate) and sets *out to a Csr *view*
+// into those bytes, which it keeps alive; *file, when non-null, shares
+// them. Nothing is written on failure.
+CacheLoadResult OpenCsrCacheView(const std::string& path,
+                                 std::uint64_t expected_signature,
+                                 graph::Csr* out,
+                                 std::shared_ptr<const FileView>* file,
+                                 std::string* error);
+
+// OpenCsrCacheView, then a resident copy of the arrays;
+// io/paged_csr.h serves the view itself.
 CacheLoadResult LoadCsrCache(const std::string& path,
                              std::uint64_t expected_signature,
                              graph::Csr* out, std::string* error);

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/crc32c.h"
 #include "io/csr_cache.h"
 
 namespace emogi::io {
@@ -148,9 +147,9 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
     return false;
   }
   const std::string pid_suffix = std::to_string(static_cast<long>(::getpid()));
-  // Every stream buffer (raw spill writes, spill reads, the checksum
-  // read-back) fits half the budget; the other half holds either the
-  // split's write buffers or the resident chunk's lists.
+  // Every stream buffer (raw spill writes, spill reads) fits half the
+  // budget; the other half holds either the split's write buffers or the
+  // resident chunk's lists.
   const std::uint64_t stream_arcs =
       std::min(memory_budget / 2, kMaxStreamBytes) / kArcBytes;
   const std::uint64_t stream_bytes = stream_arcs * kArcBytes;
@@ -286,31 +285,10 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
   }
 
   // ---- Per chunk: scatter destinations into per-source buckets, sort
-  // and dedup each list, write the lists straight to their place in the
-  // cache file (the offsets and header follow once degrees are known). --
-  std::string padded_name = name;
-  padded_name.resize(CsrCachePaddedNameLength(padded_name.size()), '\0');
-  const std::uint64_t neighbors_pos = sizeof(CsrCacheHeader) +
-                                      padded_name.size() +
-                                      (vertex_count + 1) * sizeof(EdgeIndex);
-  const std::string tmp_path = cache_path + ".emtmp." + pid_suffix;
-  std::FILE* out = std::fopen(tmp_path.c_str(), "w+b");
-  if (out == nullptr) {
-    if (error) *error = "cannot create '" + tmp_path + "'";
-    return false;
-  }
-  std::setvbuf(out, nullptr, _IONBF, 0);
-  bool out_open = true;
-  auto fail_out = [&](const std::string& what) {
-    if (out_open) std::fclose(out);
-    out_open = false;
-    std::remove(tmp_path.c_str());
-    if (error) *error = what;
-    return false;
-  };
-  if (::fseeko(out, static_cast<off_t>(neighbors_pos), SEEK_SET) != 0) {
-    return fail_out("cannot seek in '" + tmp_path + "'");
-  }
+  // and dedup each list, and append the lists to the cache file (the
+  // writer adds the offsets and header once degrees are known). ----
+  CsrCacheWriter writer;
+  if (!writer.Open(cache_path, name, vertex_count, error)) return false;
 
   std::vector<VertexId> lists;
   std::uint64_t duplicates_removed = 0;
@@ -359,13 +337,16 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
           &read_error);
       spills[c].Remove();
     }
-    if (!scattered) return fail_out(read_error);
+    if (!scattered) {
+      if (error) *error = read_error;
+      return false;
+    }
 
     const std::uint64_t kept =
         AssembleAdjacencyLists(lists.data(), cursors, count);
     duplicates_removed += arcs - kept;
-    if (kept > 0 && std::fwrite(lists.data(), kListBytes, kept, out) != kept) {
-      return fail_out("write failed for '" + tmp_path + "'");
+    if (!writer.Append(lists.data(), static_cast<std::size_t>(kept), error)) {
+      return false;
     }
   }
   lists = std::vector<VertexId>();
@@ -376,52 +357,10 @@ bool BuildCsrCacheExternal(const std::string& container_path, bool directed,
   for (std::uint64_t v = 0; v < vertex_count; ++v) {
     offsets[v + 1] += offsets[v];
   }
-  const std::uint64_t edge_count = offsets[vertex_count];
-
-  // ---- Header + checksum, byte-identical to SaveCsrCache. ----
-  CsrCacheHeader header;
-  header.flags = directed ? kCsrCacheDirectedFlag : 0;
-  header.edge_elem_bytes = 8;  // A freshly parsed Csr's default.
-  header.vertex_count = vertex_count;
-  header.edge_count = edge_count;
-  header.source_signature = source_signature;
-  header.name_length = static_cast<std::uint32_t>(name.size());
-  std::uint32_t checksum = Crc32c(padded_name.data(), padded_name.size(),
-                                  CsrCacheHeaderBasis(header));
-  checksum =
-      Crc32c(offsets.data(), offsets.size() * sizeof(EdgeIndex), checksum);
-  // The checksum runs in file order and the neighbors come last, so they
-  // are read back once to finish it.
-  if (::fseeko(out, static_cast<off_t>(neighbors_pos), SEEK_SET) != 0) {
-    return fail_out("cannot seek in '" + tmp_path + "'");
-  }
-  std::uint64_t remaining = edge_count * kListBytes;
-  while (remaining > 0) {
-    const auto want =
-        static_cast<std::size_t>(std::min(remaining, stream_bytes));
-    if (std::fread(stream_buffer.data(), 1, want, out) != want) {
-      return fail_out("cannot read back '" + tmp_path + "'");
-    }
-    checksum = Crc32c(stream_buffer.data(), want, checksum);
-    remaining -= want;
-  }
-  header.payload_checksum = checksum;
-
-  const bool wrote =
-      ::fseeko(out, 0, SEEK_SET) == 0 &&
-      std::fwrite(&header, sizeof(header), 1, out) == 1 &&
-      (padded_name.empty() ||
-       std::fwrite(padded_name.data(), padded_name.size(), 1, out) == 1) &&
-      std::fwrite(offsets.data(), sizeof(EdgeIndex), offsets.size(), out) ==
-          offsets.size();
-  out_open = false;
-  if (std::fclose(out) != 0 || !wrote) {
-    return fail_out("write failed for '" + tmp_path + "'");
-  }
-  if (std::rename(tmp_path.c_str(), cache_path.c_str()) != 0) {
-    return fail_out("rename to '" + cache_path + "' failed");
-  }
-  return true;
+  // edge_elem_bytes 8: a freshly parsed Csr's default.
+  return writer.Finish(graph::ConstSpan<EdgeIndex>(offsets.data(),
+                                                   offsets.size()),
+                       directed, 8, source_signature, error);
 }
 
 }  // namespace emogi::io

@@ -23,23 +23,23 @@
 //      arc's destination (4 bytes) is scattered into its source's
 //      bucket, and every list is sorted and deduplicated in place
 //      (io::AssembleAdjacencyLists, shared with the in-memory builder).
-//      The packed lists are written straight to their final place in a
-//      temp cache file; once every degree is known the offsets and the
-//      header follow. The CRC-32C checksum runs in file order, so the
-//      neighbor bytes are read back once to finish it, and the file
-//      appears via atomic rename, exactly like SaveCsrCache.
+//      The packed lists are appended, chunk by chunk, to the cache
+//      file's io::CsrCacheWriter -- the writer behind SaveCsrCache too
+//      -- which checksums them as they pass; once every degree is known
+//      Finish writes the offsets and the header and renames the file
+//      into place. Nothing is read back.
 //
 // Budget accounting covers edge data only. Half the budget bounds every
-// stream buffer (raw spill writes, spill reads, the checksum read-back;
-// at most 1 MiB each); the other half bounds either the split's write
-// buffers or the resident chunk at 4 bytes per arc (mirror arcs and
-// not-yet-removed duplicates included). O(V) bookkeeping (the one
-// counts/cursors/offsets array, the chunk boundaries) plus stream/
-// decompressor state are exempt -- they are the same footprint the
-// fully in-memory path needs for its result and are documented as such
-// in the README. One open spill file per chunk is held during the
-// split, so pathological budget/input ratios are bounded by the fd
-// limit before anything else.
+// stream buffer (raw spill writes and spill reads, at most 1 MiB each;
+// the cache writer is unbuffered); the other half bounds either the
+// split's write buffers or the resident chunk at 4 bytes per arc
+// (mirror arcs and not-yet-removed duplicates included). O(V)
+// bookkeeping (the one counts/cursors/offsets array, the chunk
+// boundaries) plus stream/decompressor state are exempt -- they are the
+// same footprint the fully in-memory path needs for its result and are
+// documented as such in the README. One open spill file per chunk is
+// held during the split, so pathological budget/input ratios are
+// bounded by the fd limit before anything else.
 
 #ifndef EMOGI_IO_EM_BUILDER_H_
 #define EMOGI_IO_EM_BUILDER_H_

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "io/csr_cache.h"
-#include "io/paged_csr.h"
 
 namespace emogi::io {
 namespace {
@@ -23,6 +22,14 @@ bool FileSize(const std::string& path, std::uint64_t* size) {
 // restores still hit; the +1 keeps a present-but-empty file distinct
 // from "no signature".
 std::uint64_t SourceSignature(std::uint64_t file_size) { return file_size + 1; }
+
+// Serves the cache file at `path`: the decoder's view itself when
+// `paged`, a resident copy otherwise.
+CacheLoadResult ServeCache(const std::string& path, std::uint64_t signature,
+                           bool paged, graph::Csr* out, std::string* error) {
+  return paged ? OpenCsrCacheView(path, signature, out, nullptr, error)
+               : LoadCsrCache(path, signature, out, error);
+}
 
 }  // namespace
 
@@ -76,32 +83,17 @@ IngestStatus LoadRealDataset(const std::string& symbol, bool directed,
   const bool cache_is_product = options.memory_budget > 0 || options.paged;
 
   // Serve from a valid existing cache first.
-  if (options.paged) {
-    MappedCsrView view;
-    std::string cache_error;
-    if (OpenPagedCsr(rep->cache_path, signature, &view, &cache_error)) {
-      *out = view.csr();
-      rep->from_cache = true;
-      rep->paged = true;
-      return IngestStatus::kLoaded;
-    }
-    std::uint64_t existing = 0;
-    if (FileSize(rep->cache_path, &existing)) {
-      std::fprintf(stderr, "warning: discarding CSR cache: %s (re-ingesting)\n",
-                   cache_error.c_str());
-    }
-  } else {
-    std::string cache_error;
-    const CacheLoadResult cached =
-        LoadCsrCache(rep->cache_path, signature, out, &cache_error);
-    if (cached == CacheLoadResult::kLoaded) {
-      rep->from_cache = true;
-      return IngestStatus::kLoaded;
-    }
-    if (cached == CacheLoadResult::kInvalid) {
-      std::fprintf(stderr, "warning: discarding CSR cache: %s (re-ingesting)\n",
-                   cache_error.c_str());
-    }
+  std::string cache_error;
+  const CacheLoadResult cached = ServeCache(rep->cache_path, signature,
+                                            options.paged, out, &cache_error);
+  if (cached == CacheLoadResult::kLoaded) {
+    rep->from_cache = true;
+    rep->paged = options.paged;
+    return IngestStatus::kLoaded;
+  }
+  if (cached == CacheLoadResult::kInvalid) {
+    std::fprintf(stderr, "warning: discarding CSR cache: %s (re-ingesting)\n",
+                 cache_error.c_str());
   }
 
   std::string dir_error;
@@ -153,25 +145,16 @@ IngestStatus LoadRealDataset(const std::string& symbol, bool directed,
     if (!options.paged) return IngestStatus::kLoaded;
   }
 
-  // The cache file just written becomes the serving copy: an mmap-ed
+  // The cache file just written becomes the serving copy: the mapped
   // view when paged, a plain load after a budgeted build (whose whole
   // point was never materializing the graph during construction).
   std::string serve_error;
-  if (options.paged) {
-    MappedCsrView view;
-    if (!OpenPagedCsr(rep->cache_path, signature, &view, &serve_error)) {
-      if (error) *error = "freshly built cache: " + serve_error;
-      return IngestStatus::kFailed;
-    }
-    *out = view.csr();
-    rep->paged = true;
-    return IngestStatus::kLoaded;
-  }
-  if (LoadCsrCache(rep->cache_path, signature, out, &serve_error) !=
-      CacheLoadResult::kLoaded) {
+  if (ServeCache(rep->cache_path, signature, options.paged, out,
+                 &serve_error) != CacheLoadResult::kLoaded) {
     if (error) *error = "freshly built cache: " + serve_error;
     return IngestStatus::kFailed;
   }
+  rep->paged = options.paged;
   return IngestStatus::kLoaded;
 }
 

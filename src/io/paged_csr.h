@@ -1,30 +1,26 @@
-// Out-of-core CSR serving: maps a binary CSR cache file (io/csr_cache.h,
-// format v3) and hands traversal a graph::Csr *view* whose offset and
-// neighbor arrays point directly into the mapping -- no copy, so the
-// kernel pages neighbor lists in on demand and evicts them under memory
-// pressure. The on-disk layout (since v2) zero-pads the name section to an
-// 8-byte boundary precisely so these in-place pointers are naturally
-// aligned.
-//
-// Opening revalidates the file exactly like the copying loader (header
-// sanity, size arithmetic, payload checksum, source signature) before a
-// single pointer is handed out; a corrupt or stale file never reaches
-// traversal. When mmap is unavailable (or disabled via the testing
-// hook in io/stream.h) the view degrades to a fully-resident heap
-// buffer with identical bytes -- consumers cannot tell the difference
-// except through Residency().
+// Out-of-core CSR serving: maps a binary CSR cache file (io/csr_cache.h)
+// and hands traversal a graph::Csr *view* whose offset and neighbor
+// arrays point directly into the mapping -- no copy, so the kernel
+// pages neighbor lists in on demand and evicts them under memory
+// pressure. The view is io::OpenCsrCacheView's, the same decoder the
+// copying loader reads through, so a corrupt or stale file is refused
+// before a single pointer is handed out. When mmap is unavailable (or
+// disabled via the testing hook in io/stream.h) the view degrades to a
+// fully-resident heap buffer with identical bytes -- consumers cannot
+// tell the difference except through Residency().
 
 #ifndef EMOGI_IO_PAGED_CSR_H_
 #define EMOGI_IO_PAGED_CSR_H_
 
-#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "graph/csr.h"
 
 namespace emogi::io {
 
+class FileView;
 class MappedCsrView;
 
 // Snapshot of how much of the mapped cache file currently sits in RAM
@@ -61,9 +57,7 @@ class MappedCsrView {
                            std::uint64_t expected_signature,
                            MappedCsrView* out, std::string* error);
   graph::Csr csr_;
-  const void* base_ = nullptr;  // Kept valid by csr_'s backing.
-  std::size_t size_ = 0;
-  bool mapped_ = false;
+  std::shared_ptr<const FileView> file_;  // The bytes csr_ points into.
 };
 
 }  // namespace emogi::io

@@ -57,7 +57,7 @@ std::unique_ptr<InputStream> OpenContainerStream(const std::string& path,
 bool WriteGzipFile(const std::string& path, const void* data,
                    std::size_t size, std::string* error);
 
-// Testing hook shared by the cache loader and the paged CSR: when
+// Testing hook for the CSR cache decoder (both loaders): when
 // disabled, readers behave as if mmap were unsupported and take the
 // buffered-read fallback. Always re-enable after the test.
 void SetMmapEnabledForTesting(bool enabled);
@@ -65,8 +65,8 @@ bool MmapEnabled();
 
 // Read-only view over an entire file: mmap-ed when the kernel (and the
 // testing hook above) allow it, copied into a heap buffer otherwise.
-// Shared by the copying cache loader and the paged CSR, so both take
-// the identical fallback path on mmap-hostile filesystems.
+// The CSR cache decoder reads through it, so the copying loader and the
+// paged CSR take the identical fallback path on mmap-hostile systems.
 class FileView {
  public:
   FileView() = default;

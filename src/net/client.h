@@ -2,7 +2,7 @@
 //
 // Connect() dials the server (Unix path or host:port), performs the
 // Hello/HelloAck handshake declaring this client's tenant identity and
-// WFQ weight, and then Send()/ReadResponse() exchange frames. Responses
+// DRR weight, and then Send()/ReadResponse() exchange frames. Responses
 // arrive in the server's *dispatch* order, not submission order
 // (immediate rejections overtake queued work), so callers correlate by
 // the echoed request id -- Submit() does this for the one-shot case,

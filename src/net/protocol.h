@@ -114,7 +114,7 @@ DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t size,
 
 struct HelloMsg {
   std::string tenant;        // Scheduling identity (<= kMaxTenantBytes).
-  std::uint32_t weight = 1;  // WFQ weight; the listener clamps to >= 1.
+  std::uint32_t weight = 1;  // DRR weight; the listener clamps to >= 1.
 };
 
 struct HelloAckMsg {
@@ -132,7 +132,7 @@ struct ResponseMsg {
   // Server-wide dispatch sequence number (1-based) of served requests;
   // 0 for immediate rejections (kInvalidSource / kOverloaded) that
   // never reached a wave. Totally orders service across tenants, which
-  // is what the WFQ isolation gates measure.
+  // is what the DRR isolation gates measure.
   std::uint64_t serve_seq = 0;
   // Wall-clock ns from admission to wave completion on the server
   // (0 for immediate rejections).

@@ -1,7 +1,8 @@
 // Binary CSR cache: its CRC-32C checksum (published check values,
-// SSE4.2-versus-table parity at every length and alignment, chaining at
-// every split point), round-trip fidelity (including byte-identical
-// re-serialization), rejection of corrupt / truncated / version-skewed
+// SSE4.2-versus-table parity at every length and alignment, chaining
+// and combining at every split point), round-trip fidelity (including
+// byte-identical re-serialization), the exact bytes of one small file,
+// rejection of corrupt / truncated / version-skewed
 // (past and future) / stale files, and the end-to-end ingestion path
 // behind LoadOrGenerateDataset -- a bad cache must be regenerated,
 // never trusted or crashed on.
@@ -110,8 +111,10 @@ void TestCrc32cHardwareMatchesTable() {
   }
 }
 
-// Chaining: extending a CRC over b from the CRC of a equals the CRC of
-// a followed by b, at every split point, on both paths.
+// Chaining and combining: extending a CRC over b from the CRC of a, and
+// combining the separate CRCs of a and b, both equal the CRC of a
+// followed by b, at every split point (empty a and empty b included),
+// on both paths.
 void TestCrc32cChaining() {
   std::vector<std::uint8_t> bytes(1024);
   std::uint32_t x = 777;
@@ -128,6 +131,10 @@ void TestCrc32cChaining() {
     CHECK(io::Crc32cPortable(b, b_size,
                              io::Crc32cPortable(bytes.data(), split)) ==
           whole);
+    CHECK(io::Crc32cCombine(io::Crc32c(bytes.data(), split),
+                            io::Crc32c(b, b_size), b_size) == whole);
+    CHECK(io::Crc32cCombine(io::Crc32cPortable(bytes.data(), split),
+                            io::Crc32cPortable(b, b_size), b_size) == whole);
   }
 }
 
@@ -166,6 +173,48 @@ void TestRoundTrip() {
         io::CacheLoadResult::kLoaded);
   CHECK(loaded.directed());
   CHECK(loaded.neighbors() == directed.neighbors());
+}
+
+// The on-disk format, pinned byte for byte: a hand-built 4-vertex
+// directed graph with a fixed signature. Any writer change that moves
+// a byte fails here, whatever the loaders accept.
+void TestGoldenFileBytes() {
+  const graph::Csr csr(std::vector<graph::EdgeIndex>{0, 2, 3, 5, 5},
+                       std::vector<graph::VertexId>{1, 2, 3, 0, 1},
+                       /*directed=*/true, "golden");
+  const std::vector<unsigned char> want = {
+      // Header: magic "EMGC", version 3, flags (directed), edge_elem_bytes 8.
+      0x45, 0x4d, 0x47, 0x43, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x08, 0x00, 0x00, 0x00,
+      // vertex_count 4, edge_count 5, source_signature.
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,
+      // payload_checksum (CRC-32C, zero-extended), name_length 6, reserved.
+      0x00, 0x04, 0x6f, 0x92, 0x00, 0x00, 0x00, 0x00,
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // Name "golden", zero-padded to 8 bytes.
+      0x67, 0x6f, 0x6c, 0x64, 0x65, 0x6e, 0x00, 0x00,
+      // Offsets 0 2 3 5 5 (u64).
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // Neighbors 1 2 3 0 1 (u32).
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00};
+  const std::string path = Path("golden.csr");
+  std::string error;
+  CHECK(io::SaveCsrCache(csr, path, 0x0123456789ABCDEFull, &error));
+  CHECK(ReadAll(path) == want);
+  graph::Csr loaded;
+  CHECK(io::LoadCsrCache(path, 0x0123456789ABCDEFull, &loaded, &error) ==
+        io::CacheLoadResult::kLoaded);
+  CHECK(loaded.offsets() == csr.offsets());
+  CHECK(loaded.neighbors() == csr.neighbors());
+  CHECK(loaded.directed());
+  CHECK(loaded.name() == "golden");
 }
 
 void TestRejectsBadFiles() {
@@ -338,6 +387,7 @@ int main() {
   emogi::TestCrc32cHardwareMatchesTable();
   emogi::TestCrc32cChaining();
   emogi::TestRoundTrip();
+  emogi::TestGoldenFileBytes();
   emogi::TestRejectsBadFiles();
   emogi::TestIngestAndRegeneration();
   emogi::TestLoadOrGenerateSeam();

@@ -3,11 +3,11 @@
 // garbage, corrupt packed pairs), the external-memory chunked CSR
 // builder (byte-identity and identical stats with the in-memory builder
 // across budgets, budget accounting, budget-too-small, spill-failure
-// and malformed-input errors leaving no temp files), the mmap-paged CSR
-// view (parity, corruption
-// rejection, heap fallback when mmap is unavailable), and the
-// IngestOptions routing that makes the cache file the product when a
-// budget or paged serving is requested.
+// and malformed-input errors leaving no temp files, and the cache
+// writer's rename failure and unfinished drop leaving none), the
+// mmap-paged CSR view (parity, corruption rejection, heap fallback when
+// mmap is unavailable), and the IngestOptions routing that makes the
+// cache file the product when a budget or paged serving is requested.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -289,8 +289,10 @@ std::vector<std::string> FilesContaining(const std::string& dir,
 }
 
 // A malformed last line fails the build after every earlier arc went to
-// the raw spill, at a one-chunk and a several-chunk budget; no spill,
-// part, or temp file may outlive the failure.
+// the raw spill, at a one-chunk and a several-chunk budget; no spill or
+// cache temp file may outlive the failure. The cache writer's own
+// failure paths run after its temp file exists: a rename onto a
+// non-empty directory, and a writer dropped unfinished.
 void TestMalformedLastLineLeavesNoTempFiles() {
   const std::string dir = Path("malformed");
   std::string error;
@@ -308,11 +310,28 @@ void TestMalformedLastLineLeavesNoTempFiles() {
                                      dir + "/bad.csr", 1, budget, &report,
                                      &error));
     CHECK(error.find(bad_line) != std::string::npos);
-    for (const char* needle : {".raw.", ".spill.", ".part.", ".emtmp."}) {
+    for (const char* needle : {".raw.", ".spill.", ".tmp."}) {
       CHECK(FilesContaining(dir, needle).empty());
     }
     CHECK(FilesContaining(dir, "bad.csr").empty());
   }
+
+  const std::string taken = dir + "/taken.csr";
+  CHECK(io::EnsureDirectory(taken, &error));
+  WriteAll(taken + "/occupant", "x", 1);
+  const graph::Csr csr(std::vector<graph::EdgeIndex>{0, 1, 2},
+                       std::vector<graph::VertexId>{1, 0}, false, "taken");
+  error.clear();
+  CHECK(!io::SaveCsrCache(csr, taken, 1, &error));
+  CHECK(error.find("rename") != std::string::npos);
+  {
+    io::CsrCacheWriter writer;
+    CHECK(writer.Open(dir + "/dropped.csr", "dropped", 2, &error));
+    CHECK(writer.Append(csr.neighbors().data(), 2, &error));
+    CHECK(FilesContaining(dir, ".tmp.").size() == 1);
+  }
+  CHECK(FilesContaining(dir, ".tmp.").empty());
+  CHECK(FilesContaining(dir, "dropped.csr").empty());
 }
 
 void TestBudgetTooSmall() {

@@ -1,6 +1,6 @@
 // emogi_client: the wire-protocol client driver. Dials a live
 // emogi_serve --listen endpoint (Unix path or host:port), declares a
-// tenant identity + WFQ weight, and either submits one query or replays
+// tenant identity + DRR weight, and either submits one query or replays
 // a seeded trace -- bench::GenerateArrivalTrace, the generator the
 // serving_latency and net_serving experiments use -- with client and
 // server agreeing on shard ids and sources from the shared bench options

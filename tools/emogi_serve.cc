@@ -1,16 +1,15 @@
 // emogi_serve: the traversal-as-a-service wire server. Loads the
 // selected datasets as resident shards of one runtime::QueryService
-// (each its own simulated device under the chosen access mode) and
-// serves the wire protocol (src/net/) to live emogi_client peers: each
-// connection declares a tenant + weight, and a runtime::Dispatcher
-// (deficit round robin, deadline shedding, same-class waves of
-// --max-lanes) feeds the engine. Simulated serving of a generated trace
-// is `emogi_bench run serving_latency`.
+// (each its own simulated device) and serves the wire protocol
+// (src/net/) to live emogi_client peers: each connection declares a
+// tenant + weight, and a runtime::Dispatcher (deficit round robin,
+// deadline shedding, same-class waves of --max-lanes) feeds the engine.
+// Simulated serving of a generated trace is `emogi_bench run
+// serving_latency`.
 //
 // Usage:
 //   emogi_serve --listen <path|host:port> [--scale N] [--data-dir D]
 //               [--cache-dir D] [--filter sym=A,B]
-//               [--mode UVM|Naive|Merged|Merged+Aligned]
 //               [--max-lanes K] [--queue-bound N] [--max-conns N]
 //               [--drain-timeout-ms MS]
 //
@@ -49,7 +48,6 @@ constexpr char kTool[] = "emogi_serve";
 
 struct ServeFlags {
   std::string listen;
-  emogi::core::AccessMode mode = emogi::core::AccessMode::kMergedAligned;
   int max_lanes = emogi::core::kMaxBatchLanes;
   int queue_bound = 64;
   int max_conns = 64;
@@ -70,25 +68,13 @@ void HandleShutdownSignal(int) {
   }
 }
 
-bool ParseMode(const std::string& value, emogi::core::AccessMode* mode) {
-  for (const emogi::core::AccessMode candidate :
-       emogi::core::AllAccessModes()) {
-    if (value == emogi::core::ToString(candidate)) {
-      *mode = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --listen <path|host:port> [--scale N] "
                "[--data-dir D] [--cache-dir D]\n"
-               "          [--filter sym=A,B] "
-               "[--mode UVM|Naive|Merged|Merged+Aligned] [--max-lanes K]\n"
-               "          [--queue-bound N] [--max-conns N] "
-               "[--drain-timeout-ms MS]\n"
+               "          [--filter sym=A,B] [--max-lanes K] "
+               "[--queue-bound N] [--max-conns N]\n"
+               "          [--drain-timeout-ms MS]\n"
                "exit codes: 0 clean, 1 forced drain, 2 usage, "
                "3 bind failure\n",
                argv0);
@@ -116,12 +102,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "listen") {
       flags.listen = value;
-    } else if (arg == "mode") {
-      if (!ParseMode(value, &flags.mode)) {
-        std::fprintf(stderr, "emogi_serve: unknown --mode '%s'\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (arg == "max-lanes") {
       if (!ParseFlag(kTool, arg, value, 1, &flags.max_lanes)) return 2;
     } else if (arg == "queue-bound") {
@@ -154,8 +134,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  emogi::core::EmogiConfig config =
-      emogi::core::EmogiConfig::ForMode(flags.mode);
+  // Wire waves run uncharged and no response field depends on the
+  // access mode, so the shards take the paper's EMOGI configuration.
+  emogi::core::EmogiConfig config = emogi::core::EmogiConfig::ForMode(
+      emogi::core::AccessMode::kMergedAligned);
   config.device.scale_factor = options.scale;
 
   emogi::runtime::QueryService service(flags.max_lanes);
@@ -185,9 +167,9 @@ int main(int argc, char** argv) {
 
   // Bound only after every shard loaded: the address appearing is the
   // readiness signal scripts wait on.
-  std::printf("emogi_serve: %d shard(s) resident, mode %s, serving on "
-              "%s (max %d conns, per-tenant queue bound %d, %d lanes)\n",
-              service.num_graphs(), emogi::core::ToString(flags.mode),
+  std::printf("emogi_serve: %d shard(s) resident, serving on %s (max %d "
+              "conns, per-tenant queue bound %d, %d lanes)\n",
+              service.num_graphs(),
               listener.bound_address().ToString().c_str(), flags.max_conns,
               flags.queue_bound, service.max_lanes());
   std::fflush(stdout);
