@@ -29,6 +29,13 @@
 // (graph::Csr::EdgeWeights()), fetched once at construction, as the
 // single-source SsspPolicy does.
 //
+// BatchedSsspPolicy runs only charged (runtime::QueryService's charged
+// waves, serving_latency, query_throughput's mixed rows): it is the
+// modelled GPU kernel. Answer-only SSSP does not batch; it runs one
+// label-setting core::DialSssp per lane (core/traversal.h), which
+// settles each reached vertex once where this Bellman-Ford sweep
+// rescans a vertex on every improvement.
+//
 // These are ordinary engine policies (the frontier-loop contract of
 // core/engine.h), so they ride the existing monomorphization for free:
 // `DispatchRun(csr, config, batched_policy)` instantiates the static

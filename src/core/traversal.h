@@ -9,7 +9,9 @@
 // This is a thin facade: the frontier loop lives in core/engine.h and
 // runs through DispatchRun, which picks the access mode's monomorphized
 // accountant (core/static_accountant.h); the per-source fan-out runs on
-// the runtime/ thread pool.
+// the runtime/ thread pool. DialSssp, beside it, is a host-side
+// label-setting SSSP for callers that read only the answer (the wire's
+// SSSP lanes).
 
 #ifndef EMOGI_CORE_TRAVERSAL_H_
 #define EMOGI_CORE_TRAVERSAL_H_
@@ -40,6 +42,26 @@ struct CcRun {
   std::vector<graph::VertexId> labels;
   TraversalStats stats;
 };
+
+// Answer-only single-source SSSP, label-setting: Dial's bucket queue
+// (R. Dial, CACM 12(11), 1969; the delta = 1 case of Meyer and Sanders'
+// delta-stepping). Edge weights are integers in 1..graph::kMaxEdgeWeight,
+// so every tentative distance pending at once lies within
+// kMaxEdgeWeight of the smallest, and kMaxEdgeWeight + 1 circular
+// buckets indexed by distance modulo their count hold the queue. A
+// vertex is queued again each time its distance improves; the entries
+// it leaves behind are skipped when their bucket comes up, so each
+// reached vertex is settled, and its list scanned, exactly once.
+// Weights come from csr.EdgeWeights(). Writes the distances
+// (kInfDistance if unreachable) into `*distances`, resized to the
+// vertex count, and returns the edges it scanned: the degree sum of the
+// vertices `source` reaches. The distances equal SsspPolicy's; the edge
+// count is not Bellman-Ford's, which rescans a vertex on every
+// improvement. Charges no cost model: the charged runs stay
+// Bellman-Ford, as the modelled GPU kernels are. Pure: safe to call
+// concurrently.
+std::uint64_t DialSssp(const graph::Csr& csr, graph::VertexId source,
+                       std::vector<std::uint64_t>* distances);
 
 class Traversal {
  public:

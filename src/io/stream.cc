@@ -271,7 +271,9 @@ bool OpenFileView(const std::string& path, FileView* view, bool* missing,
   *missing = false;
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
-    *missing = (errno == ENOENT);
+    // ENOTDIR: some directory on the path is a regular file, so no file
+    // can be there either.
+    *missing = (errno == ENOENT || errno == ENOTDIR);
     if (error) *error = "cannot open '" + path + "'";
     return false;
   }

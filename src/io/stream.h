@@ -87,8 +87,10 @@ class FileView {
   std::vector<unsigned char> owned_;
 };
 
-// Opens `path` into `view`. On failure `*missing` distinguishes a plain
-// ENOENT (a cache miss, not worth a warning) from real I/O trouble.
+// Opens `path` into `view`. On failure `*missing` distinguishes a path
+// with no file at it (ENOENT, or ENOTDIR when a directory on the path is
+// a regular file: a cache miss, not worth a warning) from real I/O
+// trouble.
 bool OpenFileView(const std::string& path, FileView* view, bool* missing,
                   std::string* error);
 

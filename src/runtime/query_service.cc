@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/engine.h"
+#include "core/traversal.h"
 
 namespace emogi::runtime {
 
@@ -57,30 +58,46 @@ void QueryService::RunWave(const WavePlan& wave, int index,
   for (const std::size_t q : wave.members) {
     sources.push_back(requests[q].source);
   }
-  // Charged only when the caller reads the cost; the answers are the
-  // same either way.
-  const auto run = [&](auto& policy) {
-    if (cost == nullptr) {
-      core::RunUncharged(csr, policy);
-      return;
-    }
-    cost->stats = core::DispatchRun(csr, config, policy);
-    cost->union_edges = policy.union_edges();
-  };
   if (wave.kind == QueryKind::kBfs) {
     core::BatchedBfsPolicy policy(csr, sources);
-    run(policy);
+    // Charged only when the caller reads the cost; the answers are the
+    // same either way.
+    if (cost == nullptr) {
+      core::RunUncharged(csr, policy);
+    } else {
+      cost->stats = core::DispatchRun(csr, config, policy);
+      cost->union_edges = policy.union_edges();
+    }
     for (int lane = 0; lane < lanes; ++lane) {
       lane_response(lane, policy.lane_edges(lane)).levels =
           std::move(policy.levels(lane));
     }
-  } else {
-    core::BatchedSsspPolicy policy(csr, sources);
-    run(policy);
+    return;
+  }
+
+  if (cost == nullptr) {
+    // Answer-only SSSP: one label-setting run per lane, writing straight
+    // into the lane's response.
     for (int lane = 0; lane < lanes; ++lane) {
-      lane_response(lane, policy.lane_edges(lane)).distances =
-          policy.distances(lane);
+      Response& response = lane_response(lane, 0);
+      response.edges_scanned =
+          core::DialSssp(csr, sources[lane], &response.distances);
     }
+    return;
+  }
+  // Charged SSSP: the batched Bellman-Ford run the cost model prices.
+  // Each lane reports what the label-setting run scans -- the degree sum
+  // of the vertices it reached -- so both paths answer alike.
+  core::BatchedSsspPolicy policy(csr, sources);
+  cost->stats = core::DispatchRun(csr, config, policy);
+  cost->union_edges = policy.union_edges();
+  for (int lane = 0; lane < lanes; ++lane) {
+    std::vector<std::uint64_t> distances = policy.distances(lane);
+    std::uint64_t reached_edges = 0;
+    for (graph::VertexId v = 0; v < csr.num_vertices(); ++v) {
+      if (distances[v] != core::kInfDistance) reached_edges += csr.Degree(v);
+    }
+    lane_response(lane, reached_edges).distances = std::move(distances);
   }
 }
 

@@ -29,8 +29,8 @@
 // QueryService is the synchronous boundary and the only batch path: it
 // owns the shard table (graph id -> resident CSR + access-mode config),
 // validates every request once, packs the valid ones into waves, and
-// runs each BFS/SSSP wave as one multi-source engine run
-// (core/batched.h).
+// runs each wave: a charged BFS/SSSP wave as one multi-source engine
+// run (core/batched.h).
 //
 // A wave is up to `max_lanes` (<= core::kMaxBatchLanes) requests of one
 // (graph, kind) class: BFS lanes cannot share a sweep with SSSP lanes
@@ -42,16 +42,21 @@
 // The cost model runs only when the caller asks for the cost: a
 // SubmitBatch with a `stats` sink charges every BFS/SSSP wave to the
 // shard's access-mode accountant (core::DispatchRun), one without a
-// sink -- the wire's net::Listener -- runs the waves uncharged
-// (core::RunUncharged). No answer field depends on the cost model, so
-// the responses are identical either way. An uncharged BFS wave is
-// direction-optimizing (core/batched.h): it steps bottom-up over the
-// graph's reverse index (graph::Csr::Reverse()), which the first such
-// wave on a graph builds, once, on its worker's thread. Its levels and
-// edges_scanned equal the top-down charged run's. Submit stays charged
-// and top-down. A BFS lane's levels are moved out of the policy; an
-// SSSP lane's distances are a copy gathered from the policy's
-// vertex-major rows, once per lane.
+// sink -- the wire's net::Listener -- runs the waves uncharged. No
+// answer field depends on the cost model, so the responses are
+// identical either way. An uncharged BFS wave is one batched run,
+// direction-optimizing (core::RunUncharged, core/batched.h): it steps
+// bottom-up over the graph's reverse index (graph::Csr::Reverse()),
+// which the first such wave on a graph builds, once, on its worker's
+// thread. Its levels and edges_scanned equal the top-down charged
+// run's. An uncharged SSSP wave is not batched: each lane is one
+// label-setting run (core::DialSssp), which writes its distances
+// straight into the lane's response and settles each reached vertex
+// once, where the charged wave's Bellman-Ford sweep rescans a vertex on
+// every improvement. Submit stays charged, top-down and Bellman-Ford. A
+// BFS lane's levels are moved out of the policy; a charged SSSP lane's
+// distances are a copy gathered from the policy's vertex-major rows,
+// once per lane.
 //
 // CC has no per-query source, and a shard never changes while the
 // service lives, so every CC query on a shard has the same answer. Each
@@ -130,8 +135,11 @@ struct Response {
   std::vector<std::uint32_t> levels;     // BFS: kNoLevel if unreachable.
   std::vector<std::uint64_t> distances;  // SSSP: kInfDistance likewise.
   std::vector<graph::VertexId> labels;   // CC: per-vertex component label.
-  // Edges a dedicated run of this query alone would have scanned -- the
-  // numerator of the amortization ratio (for CC, the full run's scans).
+  // Edges a dedicated run of this query alone scans -- the numerator of
+  // the amortization ratio. BFS and SSSP: the degree sum of the vertices
+  // the answer reached (a top-down BFS and a label-setting SSSP scan
+  // each once; the charged SSSP wave's Bellman-Ford sweep scans more,
+  // which only its WaveStats count). CC: the full run's scans.
   std::uint64_t edges_scanned = 0;
 };
 

@@ -58,6 +58,24 @@ void WriteAll(const std::string& path, const void* data, std::size_t size) {
   CHECK(std::fclose(file) == 0);
 }
 
+// Runs `body` with stderr sent to a file; returns what it wrote there.
+template <typename Body>
+std::string CaptureStderr(Body body) {
+  const std::string path = Path("stderr.txt");
+  std::FILE* sink = std::fopen(path.c_str(), "w");
+  CHECK(sink != nullptr);
+  std::fflush(stderr);
+  const int saved = ::dup(2);
+  CHECK(saved >= 0 && ::dup2(::fileno(sink), 2) == 2);
+  body();
+  std::fflush(stderr);
+  CHECK(::dup2(saved, 2) == 2);
+  ::close(saved);
+  std::fclose(sink);
+  const std::vector<unsigned char> bytes = ReadAll(path);
+  return std::string(bytes.begin(), bytes.end());
+}
+
 // A deterministic, deliberately messy edge list: duplicates, self-loops,
 // skewed degrees -- everything the ingestion semantics must canonicalize
 // the same way on every path.
@@ -477,8 +495,15 @@ void TestIngestOptionsRouting() {
   CHECK(!error.empty());
   io::IngestOptions broken_plain;
   broken_plain.cache_dir = blocker + "/nested";
-  CHECK(io::LoadRealDataset("GU", false, data_dir, broken_plain, &resident,
-                            &report, &error) == io::IngestStatus::kLoaded);
+  const std::string warnings = CaptureStderr([&] {
+    CHECK(io::LoadRealDataset("GU", false, data_dir, broken_plain, &resident,
+                              &report, &error) == io::IngestStatus::kLoaded);
+  });
+  // No file can sit under a regular file (ENOTDIR): the cache is
+  // missing, not corrupt, so nothing is "discarded".
+  CHECK(io::LoadCsrCache(report.cache_path, 0, &resident, &error) ==
+        io::CacheLoadResult::kMissing);
+  CHECK(warnings.find("discarding CSR cache") == std::string::npos);
 }
 
 }  // namespace

@@ -33,7 +33,16 @@
 //      and union edges equal the top-down charged run's on directed and
 //      undirected analogs, at K in {1, 2, 7, 64}, with duplicate
 //      sources, and on graphs with unreachable vertices, self-loops and
-//      duplicate arcs.
+//      duplicate arcs. SSSP lanes are uncharged label-setting runs
+//      (core::DialSssp), and their edges_scanned -- the degree sum of
+//      the vertices each answer reached -- equals the charged lane's.
+//  (g) Label-setting SSSP: core::DialSssp's distances equal Dijkstra's
+//      (ref::SsspDistances, hashed weights) and the batched Bellman-Ford
+//      run's, and the edges it returns are the reached set's degree sum,
+//      on the six analogs and on hand-built graphs with an unreachable
+//      component, self-loops, duplicate arcs of different weights, a
+//      degree-0 source and a weight-31 chain that wraps the 32-bucket
+//      ring many times.
 
 #include <algorithm>
 #include <atomic>
@@ -44,8 +53,10 @@
 
 #include "core/batched.h"
 #include "core/engine.h"
+#include "core/traversal.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "ref/reference.h"
 #include "runtime/query_service.h"
 #include "test_util.h"
 
@@ -74,6 +85,15 @@ std::uint64_t ReachedDegreeSum(const graph::Csr& csr,
   std::uint64_t sum = 0;
   for (graph::VertexId v = 0; v < csr.num_vertices(); ++v) {
     if (levels[v] != core::kNoLevel) sum += csr.Degree(v);
+  }
+  return sum;
+}
+
+std::uint64_t ReachedDegreeSum(const graph::Csr& csr,
+                               const std::vector<std::uint64_t>& distances) {
+  std::uint64_t sum = 0;
+  for (graph::VertexId v = 0; v < csr.num_vertices(); ++v) {
+    if (distances[v] != core::kInfDistance) sum += csr.Degree(v);
   }
   return sum;
 }
@@ -398,6 +418,7 @@ void TestBatchServing() {
           core::SsspPolicy single(csr, r.source);
           core::DispatchRun(csr, config, single);
           CHECK(r.distances == single.distances());
+          CHECK(r.edges_scanned == ReachedDegreeSum(csr, single.distances()));
         }
       }
     }
@@ -409,15 +430,29 @@ void TestBatchServing() {
         OneShard(csr, config, 1).SubmitBatch(queries, &k1_stats);
     const std::vector<runtime::Response> k64 =
         OneShard(csr, config, 64).SubmitBatch(queries, &k64_stats);
-    std::uint64_t lane_edge_sum = 0;
+    std::uint64_t bfs_edge_sum = 0;
+    std::uint64_t sssp_edge_sum = 0;
     for (std::size_t q = 0; q < queries.size(); ++q) {
       CHECK(k1[q].edges_scanned == k64[q].edges_scanned);
-      lane_edge_sum += k64[q].edges_scanned;
+      (k64[q].kind == runtime::QueryKind::kBfs ? bfs_edge_sum
+                                               : sssp_edge_sum) +=
+          k64[q].edges_scanned;
     }
-    // At K=1 nothing shares: union == per-query sum. At K=64 the
+    const auto union_edges = [](const runtime::BatchRunStats& stats,
+                                runtime::QueryKind kind) {
+      std::uint64_t edges = 0;
+      for (const runtime::WaveStats& wave : stats.waves) {
+        if (wave.kind == kind) edges += wave.union_edges;
+      }
+      return edges;
+    };
+    // BFS at K=1 shares nothing: union == per-query sum. At K=64 the
     // coincident frontiers share scans.
-    CHECK(k1_stats.EdgesScanned() == lane_edge_sum);
-    CHECK(k64_stats.EdgesScanned() <= lane_edge_sum);
+    CHECK(union_edges(k1_stats, runtime::QueryKind::kBfs) == bfs_edge_sum);
+    CHECK(union_edges(k64_stats, runtime::QueryKind::kBfs) <= bfs_edge_sum);
+    // A charged SSSP lane is Bellman-Ford, which scans every vertex it
+    // reaches at least once, and again on each improvement.
+    CHECK(union_edges(k1_stats, runtime::QueryKind::kSssp) >= sssp_edge_sum);
     CHECK(k64_stats.waves.size() < k1_stats.waves.size());
   }
 }
@@ -832,6 +867,41 @@ void TestUnchargedServingMatchesCharged() {
   }
 }
 
+// SSSP waves alone: kQueries requests cycling 8 sources, so every wave
+// has duplicate lanes and K = 64 fills a wave. The uncharged answers
+// (one label-setting run per lane) equal the charged Bellman-Ford
+// wave's in every field SameAnswer compares, wave and lane included.
+void TestUnchargedSsspWavesMatchCharged() {
+  constexpr int kQueries = 70;
+  const graph::Csr small = graph::GenerateUniformRandom(1 << 10, 8, 7);
+  const graph::Csr gk = graph::LoadOrGenerateDataset("GK", 16384);
+  core::EmogiConfig config = core::EmogiConfig::MergedAligned();
+  config.device.scale_factor = 1 << 14;
+  for (const graph::Csr* csr : {&small, &gk}) {
+    std::vector<runtime::Request> batch;
+    for (const graph::VertexId source : CycledSources(*csr, kQueries)) {
+      batch.push_back({runtime::QueryKind::kSssp, source});
+    }
+    for (const int k : {1, 3, 64}) {
+      const runtime::QueryService service = OneShard(*csr, config, k);
+      const std::vector<runtime::Response> uncharged =
+          service.SubmitBatch(batch);
+      runtime::BatchRunStats stats;
+      const std::vector<runtime::Response> charged =
+          service.SubmitBatch(batch, &stats);
+      CHECK(uncharged.size() == batch.size());
+      for (std::size_t q = 0; q < batch.size(); ++q) {
+        CHECK(runtime::SameAnswer(uncharged[q], charged[q]));
+        CHECK(uncharged[q].wave == charged[q].wave);
+        CHECK(uncharged[q].lane == charged[q].lane);
+        CHECK(uncharged[q].status == runtime::Status::kOk);
+      }
+      CHECK(stats.waves.size() ==
+            static_cast<std::size_t>((kQueries + k - 1) / k));
+    }
+  }
+}
+
 // Runs `sources` charged (top-down, DispatchRun) and uncharged
 // (direction-optimizing) and checks every observable answer is equal.
 // Returns the uncharged run's bottom-up steps.
@@ -911,6 +981,79 @@ void TestUnchargedBfsMatchesCharged() {
   CHECK(CheckUnchargedBfsMatchesCharged(star, {0, 0, 5}) > 0);
 }
 
+// --- (g): label-setting SSSP ------------------------------------------------
+
+// core::DialSssp from each source against Dijkstra over hashed weights
+// and the batched Bellman-Ford run; its edges against the reached set's
+// degree sum. Returns the distances from the last source.
+std::vector<std::uint64_t> CheckDialSssp(
+    const graph::Csr& csr, const std::vector<graph::VertexId>& sources) {
+  core::BatchedSsspPolicy batched(csr, sources);
+  core::RunUncharged(csr, batched);
+  // Stale contents, which the run must replace.
+  std::vector<std::uint64_t> distances(3, 7);
+  for (int lane = 0; lane < static_cast<int>(sources.size()); ++lane) {
+    const std::uint64_t edges =
+        core::DialSssp(csr, sources[lane], &distances);
+    CHECK(distances == ref::SsspDistances(csr, sources[lane]));
+    CHECK(distances == batched.distances(lane));
+    CHECK(edges == ReachedDegreeSum(csr, distances));
+  }
+  return distances;
+}
+
+void TestDialSssp() {
+  for (const std::string& symbol : graph::AllDatasetSymbols()) {
+    const graph::Csr& csr = graph::LoadOrGenerateDataset(symbol, 16384);
+    CheckDialSssp(csr, graph::PickSources(csr, 8));
+  }
+
+  // 0 -> {1, 1, 2}, 1 -> {1, 3}, 2 -> {0, 4}, 3 -> {3, 4}, 4 -> {},
+  // 5 -> {6, 6}, 6 -> {7}, 7 -> {5, 7}, 8 -> {}: duplicate arcs 0 -> 1
+  // and 5 -> 6 (edges 0/1 and 8/9), self-loops on 1, 3 and 7, the
+  // component {5, 6, 7} unreachable from 0..4, and degree-0 vertices 4
+  // (reachable) and 8 (isolated).
+  const graph::Csr odd({0, 3, 5, 7, 9, 9, 11, 12, 14, 14},
+                       {1, 1, 2, 1, 3, 0, 4, 3, 4, 6, 6, 7, 5, 7}, true,
+                       "odd");
+  CHECK(graph::EdgeWeight(0) != graph::EdgeWeight(1));
+  CHECK(graph::EdgeWeight(8) != graph::EdgeWeight(9));
+  const std::vector<std::uint64_t> from_zero = CheckDialSssp(odd, {0});
+  for (graph::VertexId v = 5; v <= 8; ++v) {
+    CHECK(from_zero[v] == core::kInfDistance);
+  }
+  CHECK(from_zero[1] ==
+        std::min(graph::EdgeWeight(0), graph::EdgeWeight(1)));
+  CheckDialSssp(odd, {4, 8, 5, 7, 3, 2});
+  std::vector<std::uint64_t> distances;
+  CHECK(core::DialSssp(odd, 8, &distances) == 0);
+  CHECK(distances[8] == 0 && distances[0] == core::kInfDistance);
+
+  // A chain 0 -> 1 -> ... -> kChain whose every arc weighs 31, the
+  // largest weight: each vertex pads its list with self-loops until its
+  // chain arc's edge index hashes to 31. The far end sits 3100 away,
+  // about 97 trips around the 32-bucket ring, and every relaxation lands
+  // in the bucket just behind the one being drained.
+  constexpr graph::VertexId kChain = 100;
+  std::vector<graph::EdgeIndex> offsets{0};
+  std::vector<graph::VertexId> neighbors;
+  for (graph::VertexId v = 0; v < kChain; ++v) {
+    while (graph::EdgeWeight(neighbors.size()) != graph::kMaxEdgeWeight) {
+      neighbors.push_back(v);
+    }
+    neighbors.push_back(v + 1);
+    offsets.push_back(neighbors.size());
+  }
+  offsets.push_back(neighbors.size());
+  const graph::Csr chain(std::move(offsets), std::move(neighbors), true,
+                         "chain31");
+  const std::vector<std::uint64_t> along = CheckDialSssp(chain, {0});
+  for (graph::VertexId v = 0; v <= kChain; ++v) {
+    CHECK(along[v] == std::uint64_t{graph::kMaxEdgeWeight} * v);
+  }
+  CheckDialSssp(chain, {kChain / 2, kChain});
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -925,7 +1068,9 @@ int main() {
   emogi::TestConcurrentFirstCcUse();
   emogi::TestMixedShardRouting();
   emogi::TestUnchargedServingMatchesCharged();
+  emogi::TestUnchargedSsspWavesMatchCharged();
   emogi::TestUnchargedBfsMatchesCharged();
+  emogi::TestDialSssp();
   std::printf("test_query_batcher: OK\n");
   return 0;
 }
